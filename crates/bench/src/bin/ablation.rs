@@ -48,6 +48,8 @@ use pmcs_bench::{
 use pmcs_core::CacheStats;
 use pmcs_workload::{adversarial_specs, derive_seed, TaskSetConfig, TaskSetGenerator};
 
+const USAGE: &str = "usage: ablation [--sets N] [--jobs N] [--cross-validate N] [--emit-certs]";
+
 fn main() {
     let mut sets = 50usize;
     let mut cli = CliOverrides::default();
@@ -66,7 +68,14 @@ fn main() {
                 );
             }
             "--emit-certs" => cli.emit_certs = Some(true),
-            _ => {}
+            "-h" | "--help" => {
+                println!("{USAGE}");
+                return;
+            }
+            other => {
+                eprintln!("error: unknown argument {other:?}\n{USAGE}");
+                std::process::exit(2);
+            }
         }
     }
     let cfg = AnalysisConfig::resolve(&cli);

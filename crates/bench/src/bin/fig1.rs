@@ -25,6 +25,8 @@ use pmcs_bench::{certify_set, fig1_task_set, parallel_map, CertSummary, PerfPoin
 use pmcs_model::{TaskId, Time};
 use pmcs_sim::{render_gantt, simulate, validate_trace, Policy, ReleasePlan};
 
+const USAGE: &str = "usage: fig1 [--jobs N] [--emit-certs]";
+
 fn main() {
     let mut cli = CliOverrides::default();
     let mut args = std::env::args().skip(1);
@@ -34,7 +36,14 @@ fn main() {
                 cli.jobs = Some(args.next().and_then(|v| v.parse().ok()).expect("--jobs N"));
             }
             "--emit-certs" => cli.emit_certs = Some(true),
-            _ => {}
+            "-h" | "--help" => {
+                println!("{USAGE}");
+                return;
+            }
+            other => {
+                eprintln!("error: unknown argument {other:?}\n{USAGE}");
+                std::process::exit(2);
+            }
         }
     }
     let cfg = AnalysisConfig::resolve(&cli);

@@ -81,6 +81,9 @@ fn max_states_for(base: usize, n: usize) -> usize {
     }
 }
 
+const USAGE: &str = "usage: runtime_table [--sets N] [--n N] [--jobs N] [--bnb-jobs N] \
+                     [--bnb-lp-depth N] [--no-cache] [--cross-validate N] [--emit-certs]";
+
 fn main() {
     let mut sets = 25usize;
     let mut only_n: Vec<usize> = Vec::new();
@@ -116,7 +119,14 @@ fn main() {
                 );
             }
             "--emit-certs" => cli.emit_certs = Some(true),
-            _ => {}
+            "-h" | "--help" => {
+                println!("{USAGE}");
+                return;
+            }
+            other => {
+                eprintln!("error: unknown argument {other:?}\n{USAGE}");
+                std::process::exit(2);
+            }
         }
     }
     let cfg = AnalysisConfig::resolve(&cli);

@@ -10,6 +10,11 @@
 //!   form.
 //!
 //! Bare JSON numbers are always integers and are parsed as `i128`.
+//!
+//! The parser also reads untrusted input (request lines of the
+//! admission-control server, bundle files handed to the checker), so it
+//! runs in time linear in the input and refuses nesting deeper than
+//! 128 levels instead of exhausting the stack.
 
 use crate::types::{
     rational_from_wire, rational_to_wire, CertArrival, CertCase, CertChoice, CertRound,
@@ -171,9 +176,15 @@ fn write_into(out: &mut String, v: &Value) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`parse_value`] accepts. Certificate
+/// bundles and server requests nest fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -217,8 +228,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "json: nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("json: unexpected byte at {}", self.pos)),
         }
@@ -282,13 +307,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run of plain characters up to the next quote
+                    // or backslash in one step (multi-byte sequences pass
+                    // through unchanged; both stops are ASCII, so the run
+                    // ends on a character boundary).
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |i| self.pos + i);
+                    let run = std::str::from_utf8(&self.bytes[self.pos..end])
                         .map_err(|_| "json: invalid utf-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -353,6 +383,7 @@ pub fn parse_value(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -996,6 +1027,44 @@ mod tests {
         ]);
         let text = write_value(&v);
         assert_eq!(parse_value(&text).expect("round trip"), v);
+    }
+
+    #[test]
+    fn strings_with_escapes_and_multibyte_runs_round_trip() {
+        let v = Value::Str("αβ \"quoted\" \\ tab\t ünïcode \u{1F600} end".into());
+        assert_eq!(parse_value(&write_value(&v)).expect("round trip"), v);
+        assert_eq!(
+            parse_value("\"a\\u0041b\"").expect("escape"),
+            Value::Str("aAb".into())
+        );
+        assert!(parse_value("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_without_exhausting_the_stack() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_value(&nested(MAX_DEPTH + 1)).expect_err("too deep");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far past the cap (deep enough to overflow a recursive parser).
+        assert!(parse_value(&nested(1 << 20)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse_value(&objects).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let text = format!("\"{}\"", "a".repeat(1 << 20));
+        let started = std::time::Instant::now();
+        let v = parse_value(&text).expect("parses");
+        assert_eq!(v.as_str().map(str::len), Ok(1 << 20));
+        // Linear parsing takes about a millisecond; the old per-character
+        // revalidation of the remaining input took tens of seconds.
+        assert!(started.elapsed().as_secs() < 2, "{:?}", started.elapsed());
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The self-hosting load generator (`pmcs-serve bench`).
 //!
 //! Spawns a server on an ephemeral loopback port, replays a seeded
-//! admission-control workload from several concurrent clients, verifies
-//! **every** response against the from-scratch batch analyzer, and writes
+//! admission-control workload from several concurrent clients, and writes
 //! `BENCH_serve.json` (qps, p50/p99 latency, shared-cache hit rate,
-//! incremental verdict-reuse rate).
+//! incremental verdict-reuse rate). Clients only time their round trips
+//! and log every exchange; after the timed phase **every** response of
+//! every client is re-derived from scratch by [`replay_log`], so the
+//! latencies measure the server, not the verifier.
 //!
 //! Every client replays the *same* deterministic script (derived from the
 //! base seed via [`derive_seed`], never from client identity), for two
@@ -30,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::proto::{encode_request, obj_get, Request};
-use crate::replay::expected_response;
+use crate::replay::replay_log;
 use crate::server::{spawn, ServerConfig};
 
 /// Load-generator knobs.
@@ -72,7 +74,8 @@ impl Default for BenchConfig {
 pub struct BenchOutcome {
     /// Total requests answered (all clients, batch entries included).
     pub ops: u64,
-    /// Responses that differed from the batch-analyzer re-derivation.
+    /// Responses that differed from the batch-analyzer re-derivation
+    /// (refutations of the offline replay of every client's log).
     pub mismatches: u64,
     /// First mismatch, for diagnostics.
     pub first_mismatch: Option<String>,
@@ -182,34 +185,26 @@ fn workload(cfg: &BenchConfig) -> (Vec<Request>, Vec<Request>) {
     (batch, ops)
 }
 
-/// One client's measurements.
+/// One client's measurements and its full exchange log.
 struct ClientOutcome {
+    /// Responses received (batch entries counted one by one).
     ops: u64,
-    mismatches: u64,
-    first_mismatch: Option<String>,
     latencies_us: Vec<f64>,
     secs: f64,
-    log: Option<String>,
+    /// Every request/response pair, in `replay_log` format.
+    log: String,
 }
 
-fn run_client(
-    addr: SocketAddr,
-    batch: &[Request],
-    ops: &[Request],
-    keep_log: bool,
-) -> io::Result<ClientOutcome> {
+fn run_client(addr: SocketAddr, batch: &[Request], ops: &[Request]) -> io::Result<ClientOutcome> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let mut shadows = std::collections::HashMap::new();
     let mut out = ClientOutcome {
         ops: 0,
-        mismatches: 0,
-        first_mismatch: None,
         latencies_us: Vec::with_capacity(ops.len()),
         secs: 0.0,
-        log: keep_log.then(String::new),
+        log: String::new(),
     };
     let started = Instant::now();
 
@@ -218,14 +213,9 @@ fn run_client(
             .map(|v| write_value(&v))
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
     };
-    let round_trip = |writer: &mut TcpStream,
-                      reader: &mut BufReader<TcpStream>,
-                      line: &str|
-     -> io::Result<(String, f64)> {
+    let mut round_trip = |line: &str| -> io::Result<(String, f64)> {
         let begin = Instant::now();
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        writer.write_all(format!("{line}\n").as_bytes())?;
         let mut resp = String::new();
         if reader.read_line(&mut resp)? == 0 {
             return Err(io::Error::new(
@@ -236,59 +226,45 @@ fn run_client(
         let us = begin.elapsed().as_secs_f64() * 1e6;
         Ok((resp.trim_end().to_string(), us))
     };
-    let mut verify = |out: &mut ClientOutcome, req: &Request, resp: &Value| {
-        out.ops += 1;
-        let expected = write_value(&expected_response(&mut shadows, req));
-        let got = write_value(resp);
-        if expected != got {
-            out.mismatches += 1;
-            out.first_mismatch
-                .get_or_insert_with(|| format!("op={} expected={expected} got={got}", req.op()));
-        }
+    let record = |out: &mut ClientOutcome, line: &str, resp_line: &str| {
+        out.log
+            .push_str(&format!("{{\"req\":{line},\"resp\":{resp_line}}}\n"));
     };
 
     // Phase 1: the initial admits travel as one batch array line.
     if !batch.is_empty() {
         let entries: Vec<String> = batch.iter().map(&encode).collect::<io::Result<_>>()?;
         let line = format!("[{}]", entries.join(","));
-        let (resp_line, _) = round_trip(&mut writer, &mut reader, &line)?;
-        let parsed =
-            parse_value(&resp_line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let Value::Arr(responses) = &parsed else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "batch request must get an array response",
-            ));
-        };
-        if responses.len() != batch.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "batch response length mismatch",
-            ));
-        }
-        for (req, resp) in batch.iter().zip(responses) {
-            verify(&mut out, req, resp);
-        }
-        if let Some(log) = out.log.as_mut() {
-            log.push_str(&format!("{{\"req\":{line},\"resp\":{resp_line}}}\n"));
-        }
+        let (resp_line, _) = round_trip(&line)?;
+        out.ops += batch.len() as u64;
+        record(&mut out, &line, &resp_line);
     }
 
     // Phase 2: single-request lines, each a latency sample.
     for req in ops {
         let line = encode(req)?;
-        let (resp_line, us) = round_trip(&mut writer, &mut reader, &line)?;
+        let (resp_line, us) = round_trip(&line)?;
         out.latencies_us.push(us);
-        let parsed =
-            parse_value(&resp_line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        verify(&mut out, req, &parsed);
-        if let Some(log) = out.log.as_mut() {
-            log.push_str(&format!("{{\"req\":{line},\"resp\":{resp_line}}}\n"));
-        }
+        out.ops += 1;
+        record(&mut out, &line, &resp_line);
     }
 
     out.secs = started.elapsed().as_secs_f64();
     Ok(out)
+}
+
+/// Replays one client's log offline: its refutations, plus one more if
+/// the replay did not check every response the client received.
+fn verify_log(client: &ClientOutcome) -> Vec<String> {
+    let replay = replay_log(&client.log);
+    let mut refutations = replay.refutations;
+    if replay.checked as u64 != client.ops {
+        refutations.push(format!(
+            "replay checked {} of {} responses",
+            replay.checked, client.ops
+        ));
+    }
+    refutations
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -328,8 +304,8 @@ pub fn run(cfg: &BenchConfig) -> io::Result<BenchOutcome> {
     let clients: Vec<usize> = (0..cfg.clients.max(1)).collect();
     let started = Instant::now();
     let results: Vec<Result<ClientOutcome, String>> =
-        parallel_map(&clients, clients.len(), |_, &c| {
-            run_client(addr, &batch, &ops, c == 0).map_err(|e| e.to_string())
+        parallel_map(&clients, clients.len(), |_, _| {
+            run_client(addr, &batch, &ops).map_err(|e| e.to_string())
         });
     let wall_secs = started.elapsed().as_secs_f64();
 
@@ -367,24 +343,27 @@ pub fn run(cfg: &BenchConfig) -> io::Result<BenchOutcome> {
         verdicts_reused: stat_u64(&stats, "verdicts_reused"),
         verdicts_fresh: stat_u64(&stats, "verdicts_fresh"),
     };
+    let clients: Vec<ClientOutcome> = results
+        .into_iter()
+        .enumerate()
+        .map(|(c, r)| r.map_err(|e| io::Error::other(format!("client {c}: {e}"))))
+        .collect::<io::Result<_>>()?;
+    // Every response of every client is re-derived from scratch, after
+    // the timed phase so the latencies measure only the server.
+    let refutations = parallel_map(&clients, clients.len(), |_, client| verify_log(client));
     let mut latencies: Vec<f64> = Vec::new();
     let mut points: Vec<PerfPoint> = Vec::new();
-    let mut client_log: Option<String> = None;
-    for (c, result) in results.into_iter().enumerate() {
-        let client = result.map_err(|e| io::Error::other(format!("client {c}: {e}")))?;
+    for (c, (client, refuted)) in clients.iter().zip(refutations).enumerate() {
         outcome.ops += client.ops;
-        outcome.mismatches += client.mismatches;
+        outcome.mismatches += refuted.len() as u64;
         if outcome.first_mismatch.is_none() {
-            outcome.first_mismatch = client.first_mismatch;
+            outcome.first_mismatch = refuted.into_iter().next();
         }
-        latencies.extend(client.latencies_us);
+        latencies.extend(&client.latencies_us);
         points.push(PerfPoint {
             label: format!("client{c}"),
             secs: client.secs,
         });
-        if let Some(log) = client.log {
-            client_log = Some(log);
-        }
     }
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     outcome.p50_us = percentile(&latencies, 0.50);
@@ -395,8 +374,8 @@ pub fn run(cfg: &BenchConfig) -> io::Result<BenchOutcome> {
         0.0
     };
 
-    if let (Some(path), Some(log)) = (&cfg.log, &client_log) {
-        std::fs::write(path, log)?;
+    if let Some(path) = &cfg.log {
+        std::fs::write(path, &clients[0].log)?;
     }
 
     if cfg.perf {
@@ -496,6 +475,23 @@ mod tests {
         assert_eq!(percentile(&sorted, 0.99), 100.0);
         assert_eq!(percentile(&[], 0.99), 0.0);
         assert_eq!(percentile(&[7.0], 0.5), 7.0);
+    }
+
+    #[test]
+    fn unchecked_responses_count_as_mismatches() {
+        let client = ClientOutcome {
+            ops: 2,
+            latencies_us: Vec::new(),
+            secs: 0.0,
+            log: "{\"req\":{\"op\":\"query\"},\"resp\":{\"ok\":{\"schedulable\":true,\
+                  \"rounds\":0,\"promoted\":[],\"verdicts\":[]}}}\n"
+                .to_string(),
+        };
+        let refuted = verify_log(&client);
+        assert!(
+            refuted.iter().any(|r| r.contains("of 2 responses")),
+            "{refuted:?}"
+        );
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //!   request batching via JSON arrays;
 //! * [`server`] — the listener/worker-pool daemon ([`spawn`]); protocol
 //!   errors never drop a connection, a `shutdown` op drains it cleanly;
-//! * [`replay`] / [`bench`] — verification and measurement: the bench
-//!   replays a seeded workload from concurrent clients and checks every
-//!   response against the from-scratch batch analyzer; the same check
-//!   runs offline over a recorded log via [`replay_log`] (exposed as
-//!   `pmcs-audit serve-replay`).
+//! * [`replay`] / [`mod@bench`] — verification and measurement: the bench
+//!   replays a seeded workload from concurrent clients, timing only the
+//!   round trips, then checks every logged response against the
+//!   from-scratch batch analyzer via [`replay_log`] (also exposed as
+//!   `pmcs-audit serve-replay` for recorded logs).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

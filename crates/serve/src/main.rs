@@ -6,9 +6,9 @@
 //!   serve until a client sends `{"op":"shutdown"}`;
 //! * `bench` — spawn a private server on an ephemeral port, replay a
 //!   seeded workload from concurrent clients, verify every response
-//!   against the from-scratch batch analyzer, and write
-//!   `BENCH_serve.json` (qps, p50/p99 latency, shared-cache hit rate,
-//!   verdict reuse rate). Any response mismatch exits nonzero.
+//!   against the from-scratch batch analyzer after the timed phase, and
+//!   write `BENCH_serve.json` (qps, p50/p99 latency, shared-cache hit
+//!   rate, verdict reuse rate). Any response mismatch exits nonzero.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

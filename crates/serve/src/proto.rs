@@ -41,6 +41,14 @@
 //! [`SchedulabilityReport`]. Failure: `{"error":{"code":C,"detail":D}}`
 //! where `C` is one of the stable [`ERROR_CODES`]; protocol errors never
 //! drop the connection, so a client can recover from its own bad input.
+//!
+//! ## Limits
+//!
+//! A request line may hold at most [`MAX_LINE_BYTES`] bytes before its
+//! newline, and a batch array at most [`MAX_BATCH`] requests. Either
+//! excess is answered with one [`E_TOO_LARGE`] error object in place of
+//! the line's response; the server discards the rest of an oversized line
+//! up to its newline and keeps serving the connection.
 
 use std::fmt;
 
@@ -68,6 +76,14 @@ pub const E_UNKNOWN_TASK: &str = "session.unknown-task";
 pub const E_OVER_CAPACITY: &str = "session.over-capacity";
 /// The analysis engine failed (never caused by client input alone).
 pub const E_ENGINE: &str = "engine.failure";
+/// A request line longer than [`MAX_LINE_BYTES`] or a batch array longer
+/// than [`MAX_BATCH`].
+pub const E_TOO_LARGE: &str = "proto.too-large";
+
+/// Longest request line the server accepts, newline excluded.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+/// Most requests one batch array line may carry.
+pub const MAX_BATCH: usize = 1024;
 
 /// Every stable error code, for exhaustive negative tests.
 pub const ERROR_CODES: &[&str] = &[
@@ -76,6 +92,7 @@ pub const ERROR_CODES: &[&str] = &[
     E_UNKNOWN_OP,
     E_MISSING_FIELD,
     E_BAD_FIELD,
+    E_TOO_LARGE,
     E_DUPLICATE_TASK,
     E_UNKNOWN_TASK,
     E_OVER_CAPACITY,
@@ -513,6 +530,15 @@ pub fn error_response(e: &WireError) -> Value {
             ("detail", Value::Str(e.detail.clone())),
         ]),
     )])
+}
+
+/// The response to a batch array of `len` requests, `len` over
+/// [`MAX_BATCH`]: one error object, no request evaluated.
+pub(crate) fn batch_too_large(len: usize) -> Value {
+    error_response(&WireError::new(
+        E_TOO_LARGE,
+        format!("batch of {len} requests exceeds {MAX_BATCH}"),
+    ))
 }
 
 /// Encodes a schedulability report as its wire object.

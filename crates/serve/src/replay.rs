@@ -1,7 +1,8 @@
 //! Offline refutation replay of a server request/response log.
 //!
 //! `pmcs-serve bench --log FILE` records every request/response pair of
-//! one client connection as NDJSON lines `{"req":R,"resp":P}`. This
+//! one client connection as NDJSON lines `{"req":R,"resp":P}` (the bench
+//! itself replays every client's log this way after its timed phase). This
 //! module re-derives every response *from scratch* — a shadow task set
 //! per session, batch-analyzed with a fresh [`analyze_task_set`] after
 //! each edit, no session state, no verdict cache, no shared delay cache —
@@ -22,8 +23,8 @@ use pmcs_core::{analyze_task_set, CoreError, ExactEngine};
 use pmcs_model::{Task, TaskSet};
 
 use crate::proto::{
-    decode_request, empty_report_value, encode_report, error_response, obj_get, ok_response,
-    session_error, shutdown_value, Request, E_OVER_CAPACITY,
+    batch_too_large, decode_request, empty_report_value, encode_report, error_response, obj_get,
+    ok_response, session_error, shutdown_value, Request, E_OVER_CAPACITY, MAX_BATCH,
 };
 
 /// Outcome of replaying one log.
@@ -47,11 +48,8 @@ impl ReplayOutcome {
 }
 
 /// Re-derives the expected response for `request` against the shadow
-/// sessions, mutating them exactly as the server would. The bench client
-/// uses the same derivation for its live verification, so "bench found
-/// zero mismatches" and "offline replay found zero refutations" check
-/// the same property from two vantage points.
-pub(crate) fn expected_response(shadows: &mut HashMap<u64, Vec<Task>>, request: &Request) -> Value {
+/// sessions, mutating them exactly as the server would.
+fn expected_response(shadows: &mut HashMap<u64, Vec<Task>>, request: &Request) -> Value {
     let report_for = |tasks: &[Task]| -> Value {
         if tasks.is_empty() {
             return ok_response(empty_report_value());
@@ -161,6 +159,18 @@ pub fn replay_log(text: &str) -> ReplayOutcome {
         // A batch line pairs an array of requests with an array of
         // responses, entry-wise.
         let pairs: Vec<(&Value, &Value)> = match (req, resp) {
+            (Value::Arr(reqs), resp) if reqs.len() > MAX_BATCH => {
+                let expected = write_value(&batch_too_large(reqs.len()));
+                if write_value(resp) == expected {
+                    outcome.checked += 1;
+                } else {
+                    outcome.refutations.push(format!(
+                        "REFUTATION line={n} op=batch expected={expected} got={}",
+                        write_value(resp)
+                    ));
+                }
+                continue;
+            }
             (Value::Arr(reqs), Value::Arr(resps)) if reqs.len() == resps.len() => {
                 reqs.iter().zip(resps.iter()).collect()
             }
@@ -297,6 +307,24 @@ mod tests {
         assert!(outcome.ok());
         assert_eq!(outcome.skipped, 1);
         assert_eq!(outcome.checked, 0);
+    }
+
+    #[test]
+    fn oversized_batch_must_be_answered_too_large() {
+        let queries = vec!["{\"op\":\"query\"}"; MAX_BATCH + 1].join(",");
+        let rejected = write_value(&batch_too_large(MAX_BATCH + 1));
+        let outcome = replay_log(&format!("{{\"req\":[{queries}],\"resp\":{rejected}}}\n"));
+        assert!(outcome.ok(), "refutations: {:?}", outcome.refutations);
+        assert_eq!(outcome.checked, 1);
+
+        // Evaluating the oversized batch instead is refuted.
+        let answers = vec![write_value(&ok_response(empty_report_value())); MAX_BATCH + 1];
+        let outcome = replay_log(&format!(
+            "{{\"req\":[{queries}],\"resp\":[{}]}}\n",
+            answers.join(",")
+        ));
+        assert_eq!(outcome.refutations.len(), 1);
+        assert!(outcome.refutations[0].contains("op=batch"));
     }
 
     #[test]

@@ -14,10 +14,23 @@
 //! connection-private (see [`crate::proto`]), so the shared cache is the
 //! *only* cross-connection state and it is content-addressed — responses
 //! are byte-identical to a cold single-threaded server.
+//!
+//! Served connections disable Nagle's algorithm (`TCP_NODELAY`). A client
+//! that pipelines — sends its next request before reading the previous
+//! response — would otherwise see each response held back until the next
+//! request acknowledged the one before it: one full inter-arrival gap of
+//! added latency per request, whatever the analysis cost. Every response
+//! line goes out in a single write, so disabling Nagle never splits one.
+//!
+//! Each connection reads at most [`MAX_LINE_BYTES`] of a request line and
+//! evaluates at most [`MAX_BATCH`] requests of a batch; beyond either cap
+//! the line is answered with `proto.too-large` and the connection stays
+//! open (see [`crate::proto`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -30,9 +43,9 @@ use pmcs_core::{
 use pmcs_model::{BusModel, Task, Time};
 
 use crate::proto::{
-    decode_request, encode_budget_search, encode_partition_failure, encode_partitioning,
-    encode_report, error_response, ok_response, session_error, shutdown_value, Request, WireError,
-    E_BAD_FIELD, E_MALFORMED,
+    batch_too_large, decode_request, encode_budget_search, encode_partition_failure,
+    encode_partitioning, encode_report, error_response, ok_response, session_error, shutdown_value,
+    Request, WireError, E_BAD_FIELD, E_MALFORMED, E_TOO_LARGE, MAX_BATCH, MAX_LINE_BYTES,
 };
 
 /// Server construction knobs.
@@ -226,6 +239,9 @@ struct Slot {
 type Sessions = HashMap<u64, Slot>;
 
 fn handle_connection(stream: TcpStream, shared: &Shared, capacity: Option<usize>) {
+    // Nagle would hold a pipelining client's responses one inter-arrival
+    // gap each (see the module doc); `send` writes each line whole.
+    let _ = stream.set_nodelay(true);
     // A finite read timeout lets the worker notice a server-wide shutdown
     // while parked on an idle connection — without it, one lingering idle
     // client would keep `join` waiting forever.
@@ -238,38 +254,14 @@ fn handle_connection(stream: TcpStream, shared: &Shared, capacity: Option<usize>
     let mut sessions: Sessions = HashMap::new();
     // Request bytes accumulate here across read timeouts: a timeout may
     // strike mid-line, and the partial line must survive until the rest
-    // arrives.
+    // arrives. It never holds more than `MAX_LINE_BYTES` plus one read.
     let mut buf: Vec<u8> = Vec::new();
+    // Set after an oversized line was answered: its remaining bytes are
+    // dropped up to the next newline.
+    let mut discarding = false;
     loop {
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => break, // EOF
-            Ok(_) => {
-                let complete = buf.last() == Some(&b'\n');
-                if complete || !buf.is_empty() {
-                    let line = String::from_utf8_lossy(&buf);
-                    let line = line.trim();
-                    if !line.is_empty() {
-                        let (response, stop) = respond_line(line, &mut sessions, shared, capacity);
-                        let mut out = write_value(&response);
-                        out.push('\n');
-                        if writer
-                            .write_all(out.as_bytes())
-                            .and_then(|()| writer.flush())
-                            .is_err()
-                        {
-                            break;
-                        }
-                        if stop {
-                            shared.initiate_shutdown();
-                            break;
-                        }
-                    }
-                }
-                buf.clear();
-                if !complete {
-                    break; // unterminated final line: EOF follows
-                }
-            }
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -279,14 +271,85 @@ fn handle_connection(stream: TcpStream, shared: &Shared, capacity: Option<usize>
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
+                continue;
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => break,
+        };
+        if chunk.is_empty() {
+            // EOF: an unterminated final line is still answered.
+            if !discarding {
+                let _ = answer(&mut writer, &buf, &mut sessions, shared, capacity);
+            }
+            break;
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(chunk.len(), |i| i + 1);
+        if !discarding {
+            buf.extend_from_slice(&chunk[..take]);
+        }
+        reader.consume(take);
+        if discarding {
+            discarding = newline.is_none();
+            continue;
+        }
+        let line_len = buf.len() - usize::from(newline.is_some());
+        let flow = if line_len > MAX_LINE_BYTES {
+            discarding = newline.is_none();
+            send(
+                &mut writer,
+                &error_response(&WireError::new(
+                    E_TOO_LARGE,
+                    format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                )),
+            )
+        } else if newline.is_some() {
+            answer(&mut writer, &buf, &mut sessions, shared, capacity)
+        } else {
+            continue;
+        };
+        buf.clear();
+        if flow.is_break() {
+            break;
         }
     }
     shared
         .sessions
         .fetch_sub(sessions.len() as u64, Ordering::Relaxed);
+}
+
+/// Answers one request line (blank lines get no response); breaks when
+/// the connection must close.
+fn answer(
+    writer: &mut TcpStream,
+    line: &[u8],
+    sessions: &mut Sessions,
+    shared: &Shared,
+    capacity: Option<usize>,
+) -> ControlFlow<()> {
+    let line = String::from_utf8_lossy(line);
+    let line = line.trim();
+    if line.is_empty() {
+        return ControlFlow::Continue(());
+    }
+    let (response, stop) = respond_line(line, sessions, shared, capacity);
+    send(writer, &response)?;
+    if stop {
+        shared.initiate_shutdown();
+        return ControlFlow::Break(());
+    }
+    ControlFlow::Continue(())
+}
+
+/// Writes one response line in a single `write_all`; breaks when the
+/// client is gone.
+fn send(writer: &mut TcpStream, response: &Value) -> ControlFlow<()> {
+    let mut out = write_value(response);
+    out.push('\n');
+    match writer.write_all(out.as_bytes()) {
+        Ok(()) => ControlFlow::Continue(()),
+        Err(_) => ControlFlow::Break(()),
+    }
 }
 
 /// Evaluates one request line (a request object or an array of them) to
@@ -302,6 +365,7 @@ fn respond_line(
         Err(e) => return (error_response(&WireError::new(E_MALFORMED, e)), false),
     };
     match parsed {
+        Value::Arr(items) if items.len() > MAX_BATCH => (batch_too_large(items.len()), false),
         Value::Arr(items) => {
             let mut responses = Vec::with_capacity(items.len());
             let mut stop = false;

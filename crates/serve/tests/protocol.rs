@@ -1,17 +1,21 @@
 //! End-to-end protocol tests over real loopback sockets: every stable
 //! error code is reachable, protocol errors never drop the connection,
-//! batching is entry-wise, sessions are connection-private, and server
-//! responses are byte-identical to the from-scratch batch analyzer.
+//! batching is entry-wise, sessions are connection-private, server
+//! responses are byte-identical to the from-scratch batch analyzer,
+//! oversized input is refused without dropping the connection, and
+//! pipelined responses are not held back by the transport.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::thread;
+use std::time::{Duration, Instant};
 
 use pmcs_cert::json::{parse_value, write_value, Value};
 use pmcs_core::{analyze_task_set, ExactEngine};
 use pmcs_model::{Priority, Task, TaskId, TaskSet, Time};
 use pmcs_serve::proto::{
     encode_report, obj_get, E_BAD_FIELD, E_DUPLICATE_TASK, E_MALFORMED, E_MISSING_FIELD,
-    E_OVER_CAPACITY, E_UNKNOWN_OP, E_UNKNOWN_TASK,
+    E_OVER_CAPACITY, E_TOO_LARGE, E_UNKNOWN_OP, E_UNKNOWN_TASK, MAX_BATCH, MAX_LINE_BYTES,
 };
 use pmcs_serve::{spawn, Server, ServerConfig};
 
@@ -33,6 +37,7 @@ struct Client {
 impl Client {
     fn connect(addr: SocketAddr) -> Self {
         let stream = TcpStream::connect(addr).expect("connect to server");
+        stream.set_nodelay(true).expect("disable Nagle");
         Client {
             reader: BufReader::new(stream.try_clone().expect("clone stream")),
             writer: stream,
@@ -435,6 +440,142 @@ fn partition_packing_failure_is_a_successful_unschedulable_response() {
         Some(Value::Bool(false))
     ));
     assert!(matches!(obj_get(ok, "unplaced"), Some(Value::Int(_))));
+    server.shutdown();
+    server.join();
+}
+
+fn verdict_count(resp: &Value) -> usize {
+    match obj_get(resp, "ok").and_then(|r| obj_get(r, "verdicts")) {
+        Some(Value::Arr(v)) => v.len(),
+        other => panic!("expected a report, got {other:?}"),
+    }
+}
+
+#[test]
+fn oversized_line_is_refused_and_the_connection_survives() {
+    let server = start(None);
+    let mut client = Client::connect(server.addr());
+
+    let resp = client.send(&"x".repeat(MAX_LINE_BYTES + 1));
+    assert_eq!(error_code(&resp), E_TOO_LARGE);
+    // Exactly one response for the oversized line: the next request's
+    // answer is its own.
+    let resp = client.send(&admit_line(0, 0, 10, 0));
+    assert!(obj_get(&resp, "ok").is_some(), "got {resp:?}");
+
+    // A line of exactly the cap is still served.
+    let query = "{\"op\":\"query\"}";
+    let padded = format!("{query}{}", " ".repeat(MAX_LINE_BYTES - query.len()));
+    assert_eq!(padded.len(), MAX_LINE_BYTES);
+    assert_eq!(verdict_count(&client.send(&padded)), 1);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn hostile_lines_under_the_cap_are_refused_quickly_and_the_connection_survives() {
+    let server = start(None);
+    let mut client = Client::connect(server.addr());
+
+    // Nesting deep enough to overflow a recursive parser's stack.
+    let depth = 100_000;
+    let deep = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    assert_eq!(error_code(&client.send(&deep)), E_MALFORMED);
+
+    // A near-cap string field: parsed in linear time, then rejected.
+    let started = Instant::now();
+    let long = format!("{{\"op\":\"{}\"}}", "a".repeat(MAX_LINE_BYTES - 16));
+    assert_eq!(error_code(&client.send(&long)), E_UNKNOWN_OP);
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "{:?}",
+        started.elapsed()
+    );
+
+    let resp = client.send(&admit_line(0, 0, 10, 0));
+    assert!(obj_get(&resp, "ok").is_some(), "got {resp:?}");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn oversized_batch_is_refused_whole_and_the_connection_survives() {
+    let server = start(None);
+    let mut client = Client::connect(server.addr());
+
+    let mut entries = vec![admit_line(0, 0, 10, 0)];
+    entries.resize(MAX_BATCH + 1, "{\"op\":\"query\"}".to_string());
+    let resp = client.send(&format!("[{}]", entries.join(",")));
+    assert_eq!(error_code(&resp), E_TOO_LARGE);
+
+    // No entry of the refused batch ran: the admit inside it left no task.
+    assert_eq!(verdict_count(&client.send("{\"op\":\"query\"}")), 0);
+    // A batch of exactly the cap is evaluated entry-wise.
+    entries.truncate(MAX_BATCH);
+    let resp = client.send(&format!("[{}]", entries.join(",")));
+    match &resp {
+        Value::Arr(answers) => assert_eq!(answers.len(), MAX_BATCH),
+        other => panic!("batch must get an array response, got {other:?}"),
+    }
+    assert_eq!(verdict_count(&client.send("{\"op\":\"query\"}")), 1);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn pipelined_responses_are_not_held_until_the_next_request() {
+    const REQUESTS: usize = 20;
+    const GAP: Duration = Duration::from_millis(15);
+
+    let server = start(None);
+    let mut client = Client::connect(server.addr());
+    for (id, exec, prio) in [(0, 10, 0), (1, 20, 1), (2, 15, 2)] {
+        assert!(obj_get(&client.send(&admit_line(0, id, exec, prio)), "ok").is_some());
+    }
+
+    // Send every query on its schedule without waiting for any response;
+    // a second thread stamps each response line as it arrives. The first
+    // two queries go out back to back: the second response is then
+    // written while the first is unacknowledged, which is where Nagle's
+    // algorithm would start holding every response for one gap.
+    let Client { mut reader, writer } = client;
+    let receiver = thread::spawn(move || {
+        (0..REQUESTS)
+            .map(|_| {
+                let mut line = String::new();
+                assert_ne!(reader.read_line(&mut line).expect("read response"), 0);
+                assert!(line.starts_with("{\"ok\""), "query failed: {line}");
+                Instant::now()
+            })
+            .collect::<Vec<_>>()
+    });
+    let start_at = Instant::now();
+    let mut sent = Vec::with_capacity(REQUESTS);
+    for k in 0..REQUESTS {
+        let due = start_at + GAP * k.saturating_sub(1) as u32;
+        thread::sleep(due.saturating_duration_since(Instant::now()));
+        sent.push(Instant::now());
+        (&writer)
+            .write_all(b"{\"op\":\"query\"}\n")
+            .expect("write request");
+    }
+    let received = receiver.join().expect("reader thread");
+
+    let mut latencies: Vec<Duration> = sent
+        .iter()
+        .zip(&received)
+        .map(|(s, r)| r.saturating_duration_since(*s))
+        .collect();
+    latencies.sort();
+    let median = latencies[REQUESTS / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median pipelined latency {median:?} (gap {GAP:?}); all: {latencies:?}"
+    );
+
     server.shutdown();
     server.join();
 }
