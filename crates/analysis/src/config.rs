@@ -1,62 +1,18 @@
-//! Typed analysis configuration, resolved exactly once at the CLI edge.
+//! Typed analysis configuration.
 //!
-//! Every knob that used to leak through scattered `std::env` reads
-//! (`PMCS_JOBS` in the bench worker pool, `PMCS_AUDIT` deep inside the
-//! MILP engine) now lives on [`AnalysisConfig`]. Binaries call
-//! [`AnalysisConfig::resolve`] with whatever their command line provided;
-//! the environment is consulted **only there**, with the documented
-//! precedence *flag > environment > default*. Library code receives the
-//! resolved struct and never touches the process environment.
+//! Every analysis knob lives on [`AnalysisConfig`]; library code receives
+//! the struct and never reads the process environment. Binaries fill it
+//! from their command line (`pmcs_bench::cli`), which is the only way to
+//! configure a run.
 
-use std::thread;
+use pmcs_core::BackendKind;
 
-use pmcs_core::{BackendKind, AUDIT_ENV_VAR};
-
-/// Environment variable naming the worker-thread count (CLI edge only;
-/// an explicit `--jobs` flag wins).
-pub const JOBS_ENV_VAR: &str = "PMCS_JOBS";
-
-/// Environment variable selecting the LP backend for MILP-based analysis
-/// (`dense` or `revised`; CLI edge only, an explicit `--lp-backend` flag
-/// wins). Unset means the analysis keeps its default exact-engine base
-/// and the MILP engine, where used, runs its dense reference backend.
-pub const LP_BACKEND_ENV_VAR: &str = "PMCS_LP_BACKEND";
-
-/// Environment variable naming the number of adversarial release plans
-/// to cross-validate per schedulable set (CLI edge only; an explicit
-/// `--cross-validate` flag wins). `0` (the default) disables
-/// cross-validation.
-pub const CROSS_VALIDATE_ENV_VAR: &str = "PMCS_CROSS_VALIDATE";
-
-/// Environment variable naming the worker count of the exact engine's
-/// branch-and-bound rescue path (CLI edge only; an explicit `--bnb-jobs`
-/// flag wins). `0` (the default) disables branch-and-bound: windows that
-/// exhaust the memo budget fall back to the safe cap instead.
-pub const BNB_JOBS_ENV_VAR: &str = "PMCS_BNB_JOBS";
-
-/// Environment variable naming the slot depth up to which the
-/// branch-and-bound rescue additionally prunes with LP-relaxation bounds
-/// (CLI edge only; an explicit `--bnb-lp-depth` flag wins).
-pub const BNB_LP_DEPTH_ENV_VAR: &str = "PMCS_BNB_LP_DEPTH";
-
-/// Environment variable enabling certificate emission (`1`/`true`; CLI
-/// edge only, an explicit `--emit-certs` flag wins). When on, every
-/// analyzed set is re-certified *outside* the timed regions: the
-/// proposed analysis re-runs with its proof transcript recorded, the
-/// resulting bundle is validated by the independent `pmcs-cert` checker,
-/// and `cert_*` counters land in the perf record.
-pub const EMIT_CERTS_ENV_VAR: &str = "PMCS_EMIT_CERTS";
-
-/// Resolved analysis configuration.
+/// Analysis configuration.
 ///
-/// Construction paths:
-///
-/// * [`AnalysisConfig::default`] — single-threaded, cached, unaudited,
-///   default solver limits; what library callers and tests want.
-/// * [`AnalysisConfig::resolve`] — the CLI edge: merges explicit flags
-///   with the `PMCS_JOBS` / `PMCS_AUDIT` environment variables
-///   (precedence flag > env > default) and defaults `jobs` to the
-///   machine's available parallelism.
+/// [`AnalysisConfig::default`] is single-threaded, cached, unaudited,
+/// with default solver limits; what library callers and tests want.
+/// Command-line binaries start from the same defaults with `jobs` set to
+/// the machine's available parallelism.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisConfig {
     /// Worker threads for sweep executors (always ≥ 1).
@@ -83,15 +39,6 @@ pub struct AnalysisConfig {
     /// set (outside the timed regions) and validate it with the
     /// independent `pmcs-cert` checker.
     pub emit_certs: bool,
-    /// Worker threads of the exact engine's parallel branch-and-bound
-    /// rescue for windows that exhaust the memo budget (`0` disables the
-    /// rescue; the engine then reports its safe fallback cap). Ignored —
-    /// forced off — when `emit_certs` is set, because branch-and-bound
-    /// results carry no replayable DP table to certify.
-    pub bnb_jobs: usize,
-    /// Slot depth up to which branch-and-bound nodes additionally prune
-    /// with LP-relaxation bounds (`0` disables LP bounding).
-    pub bnb_lp_depth: usize,
 }
 
 impl Default for AnalysisConfig {
@@ -104,113 +51,11 @@ impl Default for AnalysisConfig {
             lp_backend: None,
             cross_validate: 0,
             emit_certs: false,
-            bnb_jobs: 0,
-            bnb_lp_depth: 0,
         }
     }
-}
-
-/// Explicit command-line overrides handed to [`AnalysisConfig::resolve`].
-/// `None` means "the flag was not given" and falls through to the
-/// environment, then the default.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CliOverrides {
-    /// `--jobs N`.
-    pub jobs: Option<usize>,
-    /// `--no-cache` (as `Some(false)`) / `--cache` (as `Some(true)`).
-    pub cache: Option<bool>,
-    /// `--audit` / `--no-audit`.
-    pub audit: Option<bool>,
-    /// `--max-states N`.
-    pub max_states: Option<usize>,
-    /// `--lp-backend dense|revised`.
-    pub lp_backend: Option<BackendKind>,
-    /// `--cross-validate N`.
-    pub cross_validate: Option<usize>,
-    /// `--emit-certs`.
-    pub emit_certs: Option<bool>,
-    /// `--bnb-jobs N`.
-    pub bnb_jobs: Option<usize>,
-    /// `--bnb-lp-depth N`.
-    pub bnb_lp_depth: Option<usize>,
 }
 
 impl AnalysisConfig {
-    /// Resolves the effective configuration at the CLI edge.
-    ///
-    /// Precedence per field: explicit flag > environment > default.
-    /// Honored environment variables: [`JOBS_ENV_VAR`] (`PMCS_JOBS`,
-    /// a thread count) and [`AUDIT_ENV_VAR`] (`PMCS_AUDIT`, `1`/`true`
-    /// enables auditing). `jobs` defaults to
-    /// [`std::thread::available_parallelism`] rather than 1, matching
-    /// the historical bench-binary behavior.
-    pub fn resolve(cli: &CliOverrides) -> Self {
-        let defaults = AnalysisConfig::default();
-        let jobs = cli
-            .jobs
-            .or_else(|| {
-                std::env::var(JOBS_ENV_VAR)
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or_else(|| {
-                thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .max(1);
-        let audit = cli.audit.unwrap_or_else(|| {
-            std::env::var(AUDIT_ENV_VAR)
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(defaults.audit)
-        });
-        let lp_backend = cli.lp_backend.or_else(|| {
-            std::env::var(LP_BACKEND_ENV_VAR)
-                .ok()
-                .and_then(|v| BackendKind::parse(&v))
-        });
-        let cross_validate = cli
-            .cross_validate
-            .or_else(|| {
-                std::env::var(CROSS_VALIDATE_ENV_VAR)
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(defaults.cross_validate);
-        let emit_certs = cli.emit_certs.unwrap_or_else(|| {
-            std::env::var(EMIT_CERTS_ENV_VAR)
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(defaults.emit_certs)
-        });
-        let bnb_jobs = cli
-            .bnb_jobs
-            .or_else(|| {
-                std::env::var(BNB_JOBS_ENV_VAR)
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(defaults.bnb_jobs);
-        let bnb_lp_depth = cli
-            .bnb_lp_depth
-            .or_else(|| {
-                std::env::var(BNB_LP_DEPTH_ENV_VAR)
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(defaults.bnb_lp_depth);
-        AnalysisConfig {
-            jobs,
-            cache: cli.cache.unwrap_or(defaults.cache),
-            audit,
-            max_states: cli.max_states.unwrap_or(defaults.max_states).max(1),
-            lp_backend,
-            cross_validate,
-            emit_certs,
-            bnb_jobs,
-            bnb_lp_depth,
-        }
-    }
-
     /// A copy with a different worker count (convenience for sweeps).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
@@ -236,19 +81,6 @@ impl AnalysisConfig {
         self.cross_validate = plans;
         self
     }
-
-    /// A copy with certificate emission enabled or disabled.
-    pub fn with_emit_certs(mut self, emit: bool) -> Self {
-        self.emit_certs = emit;
-        self
-    }
-
-    /// A copy with the branch-and-bound rescue enabled on `jobs` workers
-    /// (`0` disables it).
-    pub fn with_bnb_jobs(mut self, jobs: usize) -> Self {
-        self.bnb_jobs = jobs;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -265,30 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_flags_win() {
-        let cfg = AnalysisConfig::resolve(&CliOverrides {
-            jobs: Some(3),
-            cache: Some(false),
-            audit: Some(true),
-            max_states: Some(7),
-            lp_backend: Some(BackendKind::Revised),
-            cross_validate: Some(5),
-            emit_certs: Some(true),
-            bnb_jobs: Some(2),
-            bnb_lp_depth: Some(3),
-        });
-        assert_eq!(cfg.jobs, 3);
-        assert!(!cfg.cache);
-        assert!(cfg.audit);
-        assert_eq!(cfg.max_states, 7);
-        assert_eq!(cfg.lp_backend, Some(BackendKind::Revised));
-        assert_eq!(cfg.cross_validate, 5);
-        assert!(cfg.emit_certs);
-        assert_eq!(cfg.bnb_jobs, 2);
-        assert_eq!(cfg.bnb_lp_depth, 3);
-    }
-
-    #[test]
     fn lp_backend_defaults_to_none() {
         assert_eq!(AnalysisConfig::default().lp_backend, None);
         let cfg = AnalysisConfig::default().with_lp_backend(Some(BackendKind::Dense));
@@ -297,13 +105,7 @@ mod tests {
 
     #[test]
     fn zero_requests_are_clamped() {
-        let cfg = AnalysisConfig::resolve(&CliOverrides {
-            jobs: Some(0),
-            max_states: Some(0),
-            ..CliOverrides::default()
-        });
-        assert_eq!(cfg.jobs, 1);
-        assert_eq!(cfg.max_states, 1);
+        assert_eq!(AnalysisConfig::default().with_jobs(0).jobs, 1);
     }
 
     #[test]
@@ -323,16 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn bnb_defaults_off() {
-        let cfg = AnalysisConfig::default();
-        assert_eq!(cfg.bnb_jobs, 0);
-        assert_eq!(cfg.bnb_lp_depth, 0);
-        assert_eq!(AnalysisConfig::default().with_bnb_jobs(4).bnb_jobs, 4);
-    }
-
-    #[test]
     fn emit_certs_defaults_off() {
         assert!(!AnalysisConfig::default().emit_certs);
-        assert!(AnalysisConfig::default().with_emit_certs(true).emit_certs);
     }
 }

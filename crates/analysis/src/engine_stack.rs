@@ -1,10 +1,7 @@
 //! The composable delay-engine stack.
 //!
-//! Pre-facade, engine assembly was scattered: the bench sweeps hid a
-//! `WorkerEngine` enum special-casing the cached/uncached split, and the
-//! `PMCS_AUDIT` environment variable flipped the MILP engine into audited
-//! mode from deep inside `pmcs-core`. Here the stack is built in one
-//! place, from one [`AnalysisConfig`], as plain decorator layers:
+//! The stack is built in one place, from one [`AnalysisConfig`], as
+//! plain decorator layers:
 //!
 //! ```text
 //! CachedEngine           (cfg.cache — window-level delay-bound memo)
@@ -20,7 +17,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use pmcs_core::bnb::BnbConfig;
 use pmcs_core::wcrt::DelayBound;
 use pmcs_core::{
     BackendKind, CacheStats, CachedEngine, CoreError, DelayEngine, ExactEngine, MilpEngine,
@@ -229,31 +225,15 @@ impl EngineStack {
         let (inner, plain, cached): (Box<dyn StackEngine>, &'static str, &'static str) =
             match cfg.lp_backend {
                 None => {
-                    let mut base = ExactEngine::with_max_states(cfg.max_states);
-                    // Branch-and-bound rescues are exact but carry no
-                    // replayable DP table, so certificate runs force the
-                    // rescue off and keep the certifiable fallback cap.
-                    let bnb = cfg.bnb_jobs > 0 && !cfg.emit_certs;
-                    if bnb {
-                        base = base.with_branch_and_bound(BnbConfig {
-                            jobs: cfg.bnb_jobs,
-                            lp_depth: cfg.bnb_lp_depth,
-                            ..BnbConfig::default()
-                        });
-                    }
-                    match (cfg.audit, bnb) {
-                        (false, false) => (Box::new(base) as _, "exact", "cached(exact)"),
-                        (false, true) => (Box::new(base) as _, "exact+bnb", "cached(exact+bnb)"),
-                        (true, false) => (
+                    let base = ExactEngine::with_max_states(cfg.max_states);
+                    if cfg.audit {
+                        (
                             Box::new(AuditedEngine::new(base)) as _,
                             "audited(exact)",
                             "cached(audited(exact))",
-                        ),
-                        (true, true) => (
-                            Box::new(AuditedEngine::new(base)) as _,
-                            "audited(exact+bnb)",
-                            "cached(audited(exact+bnb))",
-                        ),
+                        )
+                    } else {
+                        (Box::new(base) as _, "exact", "cached(exact)")
                     }
                 }
                 Some(kind) => {
@@ -432,21 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn bnb_stacks_agree_and_certificate_runs_force_the_rescue_off() {
-        let w = demo_window();
-        let reference = ExactEngine::default()
-            .max_total_delay(&w)
-            .expect("engine result");
-        let cfg = AnalysisConfig::default().with_bnb_jobs(2).with_cache(false);
-        let stack = EngineStack::build(&cfg);
-        assert_eq!(stack.layers(), "exact+bnb");
-        let bound = stack.max_total_delay(&w).expect("stack result");
-        assert_eq!(bound.delay, reference.delay);
-        let certifying = EngineStack::build(&cfg.with_emit_certs(true));
-        assert_eq!(certifying.layers(), "exact", "emit-certs must drop bnb");
-    }
-
-    #[test]
     fn milp_engine_honors_audit_flag() {
         assert!(!milp_engine(&AnalysisConfig::default()).audit);
         let cfg = AnalysisConfig {
@@ -525,6 +490,7 @@ mod tests {
             cache: false,
             ..AnalysisConfig::default()
         });
+        assert_eq!(exact.layers(), "exact");
         let _ = exact.max_total_delay(&demo_window()).expect("stack result");
         assert!(exact.solver_stats().bb_nodes > 0);
     }

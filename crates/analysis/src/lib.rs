@@ -6,11 +6,11 @@
 //! one [`ApproachReport`] shape. A dynamic [`Registry`] replaces the old
 //! fixed-arity `[bool; 4]` dispatch, and the delay-engine configuration
 //! (cache, audit, solver limits, worker count) lives in one typed
-//! [`AnalysisConfig`] resolved exactly once at the CLI edge.
+//! [`AnalysisConfig`] filled from command-line flags.
 //!
 //! ```text
-//!          CLI flags + env (PMCS_JOBS, PMCS_AUDIT)
-//!                        │  AnalysisConfig::resolve  (CLI edge, once)
+//!                    CLI flags
+//!                        │  pmcs_bench::cli  (CLI edge, once)
 //!                        ▼
 //!                 AnalysisConfig ──────────┐
 //!                        │                 │
@@ -59,10 +59,7 @@ pub mod report;
 
 pub use analyzer::{AnalysisContext, Analyzer};
 pub use approaches::{NpsAnalyzer, ProposedAnalyzer, WpAnalyzer, WpMilpAnalyzer};
-pub use config::{
-    AnalysisConfig, CliOverrides, CROSS_VALIDATE_ENV_VAR, EMIT_CERTS_ENV_VAR, JOBS_ENV_VAR,
-    LP_BACKEND_ENV_VAR,
-};
+pub use config::AnalysisConfig;
 pub use cross_validate::{
     cross_validate, cross_validate_bounds, cross_validate_bounds_in, cross_validate_report,
     cross_validate_report_in, plan_horizon, Refutation, RefutationKind, SimCounters, SimScratch,

@@ -34,13 +34,14 @@
 //!   exit nonzero on any bound exceedance.
 //!
 //! Engines are built through the `pmcs-analysis` facade: the typed
-//! [`AnalysisConfig`] is resolved once here at the CLI edge (so
-//! `PMCS_AUDIT`/`PMCS_JOBS` are honored with flag > env > default
-//! precedence) instead of each subcommand assembling its own.
+//! [`AnalysisConfig`] is filled once here from the command line (through
+//! the shared `pmcs_bench::cli` parser) instead of each subcommand
+//! assembling its own.
 //!
-//! The process exits non-zero when any analysis finds a real problem in
-//! the *clean* artifacts (the deliberately corrupted demo inputs are
-//! expected to produce diagnostics and do not fail the run).
+//! The process exits 1 when any analysis finds a real problem in the
+//! *clean* artifacts (the deliberately corrupted demo inputs are
+//! expected to produce diagnostics and do not fail the run), and 2 with
+//! the usage on a malformed command line.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -49,9 +50,10 @@ use std::process::ExitCode;
 
 use pmcs_analysis::{
     cross_validate, cross_validate_bounds, milp_engine, plan_horizon, AnalysisConfig,
-    AnalysisContext, CliOverrides, RefutationKind, Registry,
+    AnalysisContext, RefutationKind, Registry,
 };
 use pmcs_audit::{check_conformance, lint, lint_sequence, Severity, LINT_CODES};
+use pmcs_bench::cli::{analysis_defaults, Args, CliError};
 use pmcs_bench::{run_campaign, CampaignConfig};
 use pmcs_core::window::case_for;
 use pmcs_core::Heuristic;
@@ -108,12 +110,14 @@ OPTIONS:
                      (partition)                           [default: first-fit]
     --period <P>     bus replenishment period in ticks (partition)
     --budget <Q>     uniform per-core bus budget in ticks (partition)
-    --lp-backend <B> LP backend: dense | revised (milp/analyze/simulate;
-                     beats PMCS_LP_BACKEND)
+    --lp-backend <B> LP backend: dense | revised (milp/analyze/simulate)
     --corrupt <K>    cert emit: corrupt the bundle before printing
     --out <FILE>     cert emit: write the bundle here instead of stdout
     -h, --help       print this help
 ";
+
+/// The `--corrupt` kinds of `cert emit`.
+const CORRUPTIONS: [&str; 3] = ["witness", "tree", "dominance"];
 
 struct Options {
     seed: u64,
@@ -149,105 +153,50 @@ impl Default for Options {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positionals: Vec<String> = Vec::new();
     let mut opts = Options::default();
-    let mut cli = CliOverrides::default();
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
+    let mut cfg = analysis_defaults();
+    let mut args = Args::from_env(USAGE);
+    args.parse(|arg, args| {
+        match arg {
             "--lp-backend" => {
-                let Some(value) = it.next() else {
-                    eprintln!("error: --lp-backend requires dense|revised");
-                    return ExitCode::FAILURE;
-                };
-                let Some(kind) = pmcs_core::BackendKind::parse(value) else {
-                    eprintln!("error: unknown LP backend {value:?}; use dense|revised");
-                    return ExitCode::FAILURE;
-                };
-                cli.lp_backend = Some(kind);
+                cfg.lp_backend = Some(args.value_with(arg, pmcs_core::BackendKind::parse)?);
             }
-            "--seed" | "--tasks" | "--util" | "--plans" | "--cores" | "--heuristic"
-            | "--period" | "--budget" | "--corrupt" | "--out" => {
-                let Some(value) = it.next() else {
-                    eprintln!("error: {arg} requires a value");
-                    return ExitCode::FAILURE;
-                };
-                let ok = match arg.as_str() {
-                    "--seed" => value.parse().map(|v| opts.seed = v).is_ok(),
-                    "--tasks" => value.parse().map(|v| opts.tasks = v).is_ok(),
-                    "--plans" => value.parse().map(|v| opts.plans = Some(v)).is_ok(),
-                    "--cores" => value
-                        .parse()
-                        .ok()
-                        .filter(|&m: &usize| m >= 1)
-                        .map(|v| opts.cores = v)
-                        .is_some(),
-                    "--heuristic" => Heuristic::parse(value)
-                        .map(|h| opts.heuristic = h)
-                        .is_some(),
-                    "--period" => value
-                        .parse()
-                        .ok()
-                        .filter(|&t: &i64| t > 0)
-                        .map(|v| opts.period = Some(v))
-                        .is_some(),
-                    "--budget" => value
-                        .parse()
-                        .ok()
-                        .filter(|&t: &i64| t > 0)
-                        .map(|v| opts.budget = Some(v))
-                        .is_some(),
-                    "--corrupt" => {
-                        opts.corrupt = Some(value.clone());
-                        true
-                    }
-                    "--out" => {
-                        opts.out = Some(value.clone());
-                        true
-                    }
-                    _ => value.parse().map(|v| opts.util = Some(v)).is_ok(),
-                };
-                if !ok {
-                    eprintln!("error: invalid value {value:?} for {arg}");
-                    return ExitCode::FAILURE;
-                }
+            "--seed" => opts.seed = args.value(arg)?,
+            "--tasks" => {
+                opts.tasks = args.value_with(arg, |v| v.parse().ok().filter(|&n| n >= 1))?
             }
+            "--util" => {
+                opts.util =
+                    Some(args.value_with(arg, |v| v.parse().ok().filter(|&u| u > 0.0 && u < 1.0))?);
+            }
+            "--plans" => opts.plans = Some(args.value(arg)?),
+            "--cores" => {
+                opts.cores = args.value_with(arg, |v| v.parse().ok().filter(|&m| m >= 1))?
+            }
+            "--heuristic" => opts.heuristic = args.value_with(arg, Heuristic::parse)?,
+            "--period" => {
+                opts.period = Some(args.value_with(arg, |v| v.parse().ok().filter(|&t| t > 0))?);
+            }
+            "--budget" => {
+                opts.budget = Some(args.value_with(arg, |v| v.parse().ok().filter(|&t| t > 0))?);
+            }
+            "--corrupt" => {
+                opts.corrupt = Some(
+                    args.value_with(arg, |v| CORRUPTIONS.contains(&v).then(|| v.to_string()))?,
+                );
+            }
+            "--out" => opts.out = Some(args.value(arg)?),
             other if positionals.len() < 3 && !other.starts_with('-') => {
                 positionals.push(other.to_string());
             }
-            other => {
-                eprintln!("error: unexpected argument {other:?}\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(CliError::unknown(other)),
         }
-    }
+        Ok(())
+    });
     let command = positionals.first().cloned();
-
-    if opts.tasks == 0 {
-        eprintln!("error: --tasks must be at least 1");
-        return ExitCode::FAILURE;
-    }
-    if let Some(util) = opts.util {
-        if !(util > 0.0 && util < 1.0) {
-            eprintln!("error: --util must be in (0, 1), got {util}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    // Resolve the typed analysis configuration exactly once, at the CLI
-    // edge: environment knobs (PMCS_AUDIT, PMCS_JOBS, PMCS_LP_BACKEND)
-    // are honored here and nowhere deeper in the stack.
-    let cfg = AnalysisConfig::resolve(&cli);
-
     if !matches!(command.as_deref(), Some("cert") | Some("serve-replay")) && positionals.len() > 1 {
-        eprintln!("error: unexpected argument {:?}\n\n{USAGE}", positionals[1]);
-        return ExitCode::FAILURE;
+        args.fail(format!("unexpected argument {:?}", positionals[1]));
     }
 
     match command.as_deref() {
@@ -258,22 +207,20 @@ fn main() -> ExitCode {
         Some("simulate") => cmd_simulate(&opts, &cfg),
         Some("partition") => cmd_partition(&opts, &cfg),
         Some("campaign") => cmd_campaign(&opts, &cfg),
-        Some("cert") => cmd_cert(&opts, &positionals[1..]),
+        Some("cert") => match positionals.get(1).map(String::as_str) {
+            Some("emit") => cmd_cert_emit(&opts),
+            Some("check") => match positionals.get(2) {
+                Some(path) => cmd_cert_check(path),
+                None => args.fail("cert check requires a bundle file"),
+            },
+            _ => args.fail("cert requires a subcommand (emit | check)"),
+        },
         Some("serve-replay") => match positionals.get(1) {
             Some(path) => cmd_serve_replay(path),
-            None => {
-                eprintln!("error: serve-replay requires a log file\n\n{USAGE}");
-                ExitCode::FAILURE
-            }
+            None => args.fail("serve-replay requires a log file"),
         },
-        Some(other) => {
-            eprintln!("error: unknown command {other:?}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
-        None => {
-            print!("{USAGE}");
-            ExitCode::FAILURE
-        }
+        Some(other) => args.fail(format!("unknown command {other:?}")),
+        None => args.fail("missing command"),
     }
 }
 
@@ -883,23 +830,6 @@ fn print_partitioning(p: &pmcs_core::Partitioning) {
 
 // --- cert ---------------------------------------------------------------
 
-fn cmd_cert(opts: &Options, rest: &[String]) -> ExitCode {
-    match rest.first().map(String::as_str) {
-        Some("emit") => cmd_cert_emit(opts),
-        Some("check") => match rest.get(1) {
-            Some(path) => cmd_cert_check(path),
-            None => {
-                eprintln!("error: cert check requires a bundle file\n\n{USAGE}");
-                ExitCode::FAILURE
-            }
-        },
-        _ => {
-            eprintln!("error: cert requires a subcommand (emit | check)\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn cmd_cert_emit(opts: &Options) -> ExitCode {
     let set = demo_set(opts);
     let engine = pmcs_core::ExactEngine::default();
@@ -922,10 +852,7 @@ fn cmd_cert_emit(opts: &Options) -> ExitCode {
                 bundle.windows.push(cert);
                 pmcs_cert::corrupt::corrupt_truncate_tree(&mut bundle)
             }),
-            other => {
-                eprintln!("error: unknown corruption {other:?}; use witness|tree|dominance");
-                return ExitCode::FAILURE;
-            }
+            other => unreachable!("--corrupt {other:?} is rejected while parsing"),
         };
         if let Err(e) = result {
             eprintln!("error: {e}");

@@ -15,19 +15,19 @@
 //! all-NLS column is the non-standard `wp-milp` analyzer, registered
 //! here with one line — exactly the extension path a fifth approach
 //! would take. The utilization steps are independent and run on the
-//! worker pool (`--jobs N` / `PMCS_JOBS`, resolved at this CLI edge).
+//! worker pool (`--jobs N`, default all cores).
 //! Each worker analyzes through its own engine stack with a shared
 //! delay-bound cache, which pays off doubly here: the all-NLS pass and
 //! the greedy pass solve many identical windows. A perf record goes to
 //! `BENCH_ablation.json`.
 //!
-//! With `--cross-validate N` (or `PMCS_CROSS_VALIDATE`), every analyzed
+//! With `--cross-validate N`, every analyzed
 //! set is simulated under `N` adversarial release plans per column whose
 //! name has a simulator policy (`wp`, `proposed`; the all-NLS `wp-milp`
 //! column has none and is skipped), checking observed worst responses
 //! against the analytical bounds; refutations exit nonzero.
 //!
-//! With `--emit-certs` (or `PMCS_EMIT_CERTS=1`), every analyzed set is
+//! With `--emit-certs`, every analyzed set is
 //! re-certified after the measured sweep: the proposed analysis re-runs
 //! with a recorded proof transcript and the bundle is validated by the
 //! independent `pmcs-cert` checker; `cert_*` counters land in the perf
@@ -39,9 +39,10 @@
 use std::time::Instant;
 
 use pmcs_analysis::{
-    cross_validate_report, AnalysisConfig, AnalysisContext, CliOverrides, ProposedAnalyzer,
-    Registry, SimCounters, WpAnalyzer, WpMilpAnalyzer,
+    cross_validate_report, AnalysisContext, ProposedAnalyzer, Registry, SimCounters, WpAnalyzer,
+    WpMilpAnalyzer,
 };
+use pmcs_bench::cli::{analysis_defaults, Args, CliError};
 use pmcs_bench::{
     certify_set, parallel_map, parallel_map_with, CertSummary, PerfPoint, PerfRecord,
 };
@@ -52,33 +53,17 @@ const USAGE: &str = "usage: ablation [--sets N] [--jobs N] [--cross-validate N] 
 
 fn main() {
     let mut sets = 50usize;
-    let mut cli = CliOverrides::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--sets" => sets = args.next().and_then(|v| v.parse().ok()).expect("--sets N"),
-            "--jobs" => {
-                cli.jobs = Some(args.next().and_then(|v| v.parse().ok()).expect("--jobs N"));
-            }
-            "--cross-validate" => {
-                cli.cross_validate = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--cross-validate N"),
-                );
-            }
-            "--emit-certs" => cli.emit_certs = Some(true),
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("error: unknown argument {other:?}\n{USAGE}");
-                std::process::exit(2);
-            }
+    let mut cfg = analysis_defaults();
+    Args::from_env(USAGE).parse(|arg, args| {
+        match arg {
+            "--sets" => sets = args.value(arg)?,
+            "--jobs" => cfg.jobs = args.jobs(arg)?,
+            "--cross-validate" => cfg.cross_validate = args.value(arg)?,
+            "--emit-certs" => cfg.emit_certs = true,
+            _ => return Err(CliError::unknown(arg)),
         }
-    }
-    let cfg = AnalysisConfig::resolve(&cli);
+        Ok(())
+    });
     let steps: Vec<u64> = (2..=9).collect();
 
     // The three ablation columns, in presentation order; `wp-milp` is the

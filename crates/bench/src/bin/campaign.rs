@@ -23,40 +23,30 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use pmcs_analysis::{AnalysisConfig, CliOverrides};
+use pmcs_bench::cli::{analysis_defaults, Args, CliError};
 use pmcs_bench::{run_campaign, CampaignConfig, PerfPoint, PerfRecord};
 
+const USAGE: &str = "usage: campaign [--plans N] [--jobs N] [--seed N] [--tasks N] [--util X] \
+                     [--report FILE]";
+
 fn main() -> ExitCode {
-    let mut cfg = CampaignConfig::default();
-    let mut cli = CliOverrides::default();
+    let mut cfg = CampaignConfig {
+        analysis: analysis_defaults(),
+        ..CampaignConfig::default()
+    };
     let mut report_path = "target/experiments/campaign_report.txt".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut take = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match a.as_str() {
-            "--plans" => cfg.plans = take("--plans").parse().expect("--plans N"),
-            "--jobs" => cli.jobs = Some(take("--jobs").parse().expect("--jobs N")),
-            "--seed" => cfg.seed = take("--seed").parse().expect("--seed N"),
-            "--tasks" => cfg.tasks = take("--tasks").parse().expect("--tasks N"),
-            "--util" => cfg.util = take("--util").parse().expect("--util X"),
-            "--report" => report_path = take("--report"),
-            "-h" | "--help" => {
-                println!(
-                    "campaign [--plans N] [--jobs N] [--seed N] [--tasks N] \
-                     [--util X] [--report FILE]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("error: unexpected argument {other:?}");
-                return ExitCode::FAILURE;
-            }
+    Args::from_env(USAGE).parse(|arg, args| {
+        match arg {
+            "--plans" => cfg.plans = args.value(arg)?,
+            "--jobs" => cfg.analysis.jobs = args.jobs(arg)?,
+            "--seed" => cfg.seed = args.value(arg)?,
+            "--tasks" => cfg.tasks = args.value(arg)?,
+            "--util" => cfg.util = args.value(arg)?,
+            "--report" => report_path = args.value(arg)?,
+            _ => return Err(CliError::unknown(arg)),
         }
-    }
-    cfg.analysis = AnalysisConfig::resolve(&cli);
+        Ok(())
+    });
 
     let started = Instant::now();
     println!(

@@ -7,9 +7,9 @@
 //! meets its deadline comfortably.
 //!
 //! The three policy simulations are independent, so they run on the
-//! worker pool (`--jobs N` / `PMCS_JOBS`) and print in order afterwards;
-//! a perf record goes to `BENCH_fig1.json`. With `--emit-certs` (or
-//! `PMCS_EMIT_CERTS=1`) the Figure 1 task set is additionally analyzed
+//! worker pool (`--jobs N`, default all cores) and print in order
+//! afterwards; a perf record goes to `BENCH_fig1.json`. With
+//! `--emit-certs` the Figure 1 task set is additionally analyzed
 //! with a recorded proof transcript (outside the timed region) and the
 //! emitted certificate bundle is validated by the independent
 //! `pmcs-cert` checker; a rejection exits nonzero.
@@ -20,7 +20,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use pmcs_analysis::{AnalysisConfig, CliOverrides};
+use pmcs_bench::cli::{analysis_defaults, Args, CliError};
 use pmcs_bench::{certify_set, fig1_task_set, parallel_map, CertSummary, PerfPoint, PerfRecord};
 use pmcs_model::{TaskId, Time};
 use pmcs_sim::{render_gantt, simulate, validate_trace, Policy, ReleasePlan};
@@ -28,25 +28,15 @@ use pmcs_sim::{render_gantt, simulate, validate_trace, Policy, ReleasePlan};
 const USAGE: &str = "usage: fig1 [--jobs N] [--emit-certs]";
 
 fn main() {
-    let mut cli = CliOverrides::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--jobs" => {
-                cli.jobs = Some(args.next().and_then(|v| v.parse().ok()).expect("--jobs N"));
-            }
-            "--emit-certs" => cli.emit_certs = Some(true),
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("error: unknown argument {other:?}\n{USAGE}");
-                std::process::exit(2);
-            }
+    let mut cfg = analysis_defaults();
+    Args::from_env(USAGE).parse(|arg, args| {
+        match arg {
+            "--jobs" => cfg.jobs = args.jobs(arg)?,
+            "--emit-certs" => cfg.emit_certs = true,
+            _ => return Err(CliError::unknown(arg)),
         }
-    }
-    let cfg = AnalysisConfig::resolve(&cli);
+        Ok(())
+    });
     let jobs = cfg.jobs;
 
     let (set, releases) = fig1_task_set();

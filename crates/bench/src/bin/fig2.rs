@@ -9,24 +9,22 @@
 //!     [--emit-certs]
 //! ```
 //!
-//! Execution knobs resolve through `AnalysisConfig::resolve` at this CLI
-//! edge (flag > environment > default): `--jobs N` beats `PMCS_JOBS`
-//! beats all cores, `--audit` beats `PMCS_AUDIT`, `--lp-backend` beats
-//! `PMCS_LP_BACKEND`; results are byte-identical for every thread count.
-//! `--no-cache` disables the window-level delay-bound cache.
+//! `--jobs N` (default all cores) sets the worker count; results are
+//! byte-identical for every thread count. `--audit` cross-checks every
+//! delay bound against the audited MILP formulation. `--no-cache`
+//! disables the window-level delay-bound cache.
 //! `--lp-backend` swaps the engine-stack base from the exact
 //! combinatorial engine to the MILP engine on the named LP backend;
 //! `revised` additionally reruns every inset on the dense reference
 //! backend, asserts the rows are identical, and records the dense vs.
 //! revised wall-clock comparison plus warm-start statistics in
-//! `BENCH_fig2.json`. `--cross-validate N` (or `PMCS_CROSS_VALIDATE`)
-//! simulates every analyzed set under `N` adversarial release plans per
+//! `BENCH_fig2.json`. `--cross-validate N` simulates every analyzed set under `N` adversarial release plans per
 //! approach, validates the traces, and checks observed worst responses
 //! against the analytical WCRT bounds; any refutation is printed as a
 //! machine-readable line (identical for every thread count) and makes
 //! the binary exit nonzero. `--baseline` additionally reruns everything
 //! single-threaded and uncached to measure the parallel speedup.
-//! `--emit-certs` (or `PMCS_EMIT_CERTS=1`) re-certifies every analyzed
+//! `--emit-certs` re-certifies every analyzed
 //! set *after* the timed sweep — the proposed analysis re-runs with its
 //! proof transcript recorded and the bundle is validated by the
 //! independent `pmcs-cert` checker; `cert_emitted`/`cert_checked`/
@@ -42,7 +40,8 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use pmcs_analysis::{AnalysisConfig, CliOverrides, Registry};
+use pmcs_analysis::Registry;
+use pmcs_bench::cli::{analysis_defaults, Args, CliError};
 use pmcs_bench::report::text_table;
 use pmcs_bench::{
     ascii_chart, certify_sweep, fig2_inset, sweep_with, write_csv, CertSummary, Fig2Inset,
@@ -50,67 +49,43 @@ use pmcs_bench::{
 };
 use pmcs_core::{BackendKind, CacheStats, SolverStats};
 
+const USAGE: &str = "usage: fig2 [a|b|c|d|e|f|all]... [--sets N] [--seed S] [--jobs N] \
+                     [--no-cache] [--audit] [--lp-backend dense|revised] [--cross-validate N] \
+                     [--baseline] [--emit-certs]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut insets: Vec<Fig2Inset> = Vec::new();
     let mut sets_per_point = 100usize;
     let mut seed = 0xDAC2020u64;
-    let mut cli = CliOverrides::default();
+    let mut cfg = analysis_defaults();
     let mut baseline = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--sets" => {
-                sets_per_point = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sets needs a number");
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number");
-            }
-            "--jobs" => {
-                cli.jobs = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--jobs needs a number"),
-                );
-            }
-            "--no-cache" => cli.cache = Some(false),
-            "--audit" => cli.audit = Some(true),
-            "--lp-backend" => {
-                let v = it.next().expect("--lp-backend needs dense|revised");
-                cli.lp_backend = Some(
-                    BackendKind::parse(v)
-                        .unwrap_or_else(|| panic!("unknown LP backend '{v}'; use dense|revised")),
-                );
-            }
-            "--cross-validate" => {
-                cli.cross_validate = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--cross-validate needs a number of plans"),
-                );
-            }
+    Args::from_env(USAGE).parse(|arg, args| {
+        match arg {
+            "--sets" => sets_per_point = args.value(arg)?,
+            "--seed" => seed = args.value(arg)?,
+            "--jobs" => cfg.jobs = args.jobs(arg)?,
+            "--no-cache" => cfg.cache = false,
+            "--audit" => cfg.audit = true,
+            "--lp-backend" => cfg.lp_backend = Some(args.value_with(arg, BackendKind::parse)?),
+            "--cross-validate" => cfg.cross_validate = args.value(arg)?,
             "--baseline" => baseline = true,
-            "--emit-certs" => cli.emit_certs = Some(true),
+            "--emit-certs" => cfg.emit_certs = true,
             "all" => insets.extend(Fig2Inset::ALL),
             other => match Fig2Inset::parse(other) {
                 Some(i) => insets.push(i),
+                None if other.starts_with('-') => return Err(CliError::unknown(other)),
                 None => {
-                    eprintln!("unknown inset '{other}'; use a..f or 'all'");
-                    std::process::exit(2);
+                    return Err(CliError::Usage(format!(
+                        "unknown inset {other:?}; use a..f or 'all'"
+                    )))
                 }
             },
         }
-    }
+        Ok(())
+    });
     if insets.is_empty() {
         insets.extend(Fig2Inset::ALL);
     }
-    let cfg = AnalysisConfig::resolve(&cli);
     let registry = Registry::standard();
 
     let mut perf = PerfRecord::new("fig2");

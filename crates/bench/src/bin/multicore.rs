@@ -28,7 +28,7 @@
 
 use std::path::PathBuf;
 
-use pmcs_analysis::{AnalysisConfig, CliOverrides};
+use pmcs_bench::cli::{analysis_defaults, Args, CliError};
 use pmcs_bench::report::text_table;
 use pmcs_bench::{
     ascii_chart, sweep_multicore, write_csv, MulticoreConfig, PerfPoint, PerfRecord, SweepRow,
@@ -36,90 +36,39 @@ use pmcs_bench::{
 use pmcs_core::BackendKind;
 use pmcs_model::Time;
 
+const USAGE: &str = "usage: multicore [--cores M] [--sets N] [--seed S] [--period TICKS] \
+                     [--util U] [--gamma G] [--jobs N] [--no-cache] [--lp-backend dense|revised] \
+                     [--cross-validate N]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cores = 4usize;
     let mut sets: Option<usize> = None;
     let mut seed: Option<u64> = None;
     let mut period: Option<i64> = None;
     let mut util: Option<f64> = None;
     let mut gamma: Option<f64> = None;
-    let mut cli = CliOverrides::default();
+    let mut analysis = analysis_defaults();
     let mut plans_flag: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cores" => {
-                cores = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&m| m >= 1)
-                    .expect("--cores needs a positive number");
-            }
-            "--sets" => {
-                sets = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--sets needs a number"),
-                );
-            }
-            "--seed" => {
-                seed = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs a number"),
-                );
-            }
+    Args::from_env(USAGE).parse(|arg, args| {
+        match arg {
+            "--cores" => cores = args.value_with(arg, |v| v.parse().ok().filter(|&m| m >= 1))?,
+            "--sets" => sets = Some(args.value(arg)?),
+            "--seed" => seed = Some(args.value(arg)?),
             "--period" => {
-                period = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&t| t > 0)
-                        .expect("--period needs a positive tick count"),
-                );
+                period = Some(args.value_with(arg, |v| v.parse().ok().filter(|&t| t > 0))?);
             }
-            "--util" => {
-                util = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--util needs a per-core utilization"),
-                );
-            }
-            "--gamma" => {
-                gamma = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--gamma needs a memory-intensity factor"),
-                );
-            }
-            "--jobs" => {
-                cli.jobs = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--jobs needs a number"),
-                );
-            }
-            "--no-cache" => cli.cache = Some(false),
+            "--util" => util = Some(args.value(arg)?),
+            "--gamma" => gamma = Some(args.value(arg)?),
+            "--jobs" => analysis.jobs = args.jobs(arg)?,
+            "--no-cache" => analysis.cache = false,
             "--lp-backend" => {
-                let v = it.next().expect("--lp-backend needs dense|revised");
-                cli.lp_backend = Some(
-                    BackendKind::parse(v)
-                        .unwrap_or_else(|| panic!("unknown LP backend '{v}'; use dense|revised")),
-                );
+                analysis.lp_backend = Some(args.value_with(arg, BackendKind::parse)?);
             }
-            "--cross-validate" => {
-                plans_flag = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--cross-validate needs a number of plans"),
-                );
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
+            "--cross-validate" => plans_flag = Some(args.value(arg)?),
+            _ => return Err(CliError::unknown(arg)),
         }
-    }
+        Ok(())
+    });
     // Workload defaults (memory intensity in particular) scale with the
     // core count, so the base config is built only after parsing.
     let mut mc = MulticoreConfig::for_cores(cores);
@@ -138,7 +87,7 @@ fn main() {
     if let Some(v) = gamma {
         mc.gamma = v;
     }
-    mc.analysis = AnalysisConfig::resolve(&cli);
+    mc.analysis = analysis;
     if let Some(plans) = plans_flag {
         mc.plans = plans;
     }

@@ -7,20 +7,20 @@
 //! optimization in milliseconds (see DESIGN.md §2 for the substitution
 //! argument).
 //!
-//! The nine configurations run on the worker pool (`--jobs N` /
-//! `PMCS_JOBS`, resolved at this CLI edge). Per-set timings use a
+//! The configurations run on the worker pool (`--jobs N`, default all
+//! cores). Per-set timings use a
 //! **fresh** engine stack per task set (pass `--no-cache` for an
 //! uncached stack), so each measurement reflects one cold analysis
 //! rather than cross-set memoization. A perf record goes to
 //! `BENCH_runtime_table.json`.
 //!
-//! With `--cross-validate N` (or `PMCS_CROSS_VALIDATE`), every analyzed
+//! With `--cross-validate N`, every analyzed
 //! set is additionally simulated under `N` adversarial release plans
 //! (outside the timed region, so the runtime numbers are unaffected),
 //! checking observed worst responses against the proposed bounds;
 //! refutations exit nonzero.
 //!
-//! With `--emit-certs` (or `PMCS_EMIT_CERTS=1`), every analyzed set is
+//! With `--emit-certs`, every analyzed set is
 //! re-certified after the timed measurements (outside the timed region):
 //! the proposed analysis re-runs with a recorded proof transcript and
 //! the bundle is validated by the independent `pmcs-cert` checker;
@@ -28,13 +28,11 @@
 //! nonzero.
 //!
 //! Usage: `cargo run --release -p pmcs-bench --bin runtime_table -- \
-//!     [--sets N] [--n N] [--jobs N] [--bnb-jobs N] [--bnb-lp-depth N] \
-//!     [--no-cache] [--cross-validate N] [--emit-certs]`
+//!     [--sets N] [--n N] [--jobs N] [--no-cache] [--cross-validate N] \
+//!     [--emit-certs]`
 //!
 //! `--n N` restricts the sweep to the configurations with exactly `N`
 //! tasks per set (repeatable); the default sweeps n ∈ {4, 6, 8, 10, 12}.
-//! `--bnb-jobs N` enables the exact engine's parallel branch-and-bound
-//! rescue on `N` workers for windows that exhaust the memo budget.
 //!
 //! `--sets N` is the *base* sample count: configurations with n ≤ 6
 //! analyze `N` sets each, n = 8 analyzes `max(1, N/8)`, and n ≥ 10
@@ -49,9 +47,9 @@
 use std::time::Instant;
 
 use pmcs_analysis::{
-    cross_validate_report, AnalysisConfig, AnalysisContext, Analyzer, CliOverrides,
-    ProposedAnalyzer, SimCounters,
+    cross_validate_report, AnalysisContext, Analyzer, ProposedAnalyzer, SimCounters,
 };
+use pmcs_bench::cli::{analysis_defaults, Args, CliError};
 use pmcs_bench::{certify_set, parallel_map, CertSummary, PerfPoint, PerfRecord};
 use pmcs_core::{CacheStats, SolverStats};
 use pmcs_workload::{adversarial_specs, derive_seed, TaskSetConfig, TaskSetGenerator};
@@ -81,55 +79,25 @@ fn max_states_for(base: usize, n: usize) -> usize {
     }
 }
 
-const USAGE: &str = "usage: runtime_table [--sets N] [--n N] [--jobs N] [--bnb-jobs N] \
-                     [--bnb-lp-depth N] [--no-cache] [--cross-validate N] [--emit-certs]";
+const USAGE: &str = "usage: runtime_table [--sets N] [--n N] [--jobs N] [--no-cache] \
+                     [--cross-validate N] [--emit-certs]";
 
 fn main() {
     let mut sets = 25usize;
     let mut only_n: Vec<usize> = Vec::new();
-    let mut cli = CliOverrides::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--sets" => sets = args.next().and_then(|v| v.parse().ok()).expect("--sets N"),
-            "--n" => only_n.push(args.next().and_then(|v| v.parse().ok()).expect("--n N")),
-            "--jobs" => {
-                cli.jobs = Some(args.next().and_then(|v| v.parse().ok()).expect("--jobs N"));
-            }
-            "--bnb-jobs" => {
-                cli.bnb_jobs = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--bnb-jobs N"),
-                );
-            }
-            "--bnb-lp-depth" => {
-                cli.bnb_lp_depth = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--bnb-lp-depth N"),
-                );
-            }
-            "--no-cache" => cli.cache = Some(false),
-            "--cross-validate" => {
-                cli.cross_validate = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--cross-validate N"),
-                );
-            }
-            "--emit-certs" => cli.emit_certs = Some(true),
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("error: unknown argument {other:?}\n{USAGE}");
-                std::process::exit(2);
-            }
+    let mut cfg = analysis_defaults();
+    Args::from_env(USAGE).parse(|arg, args| {
+        match arg {
+            "--sets" => sets = args.value(arg)?,
+            "--n" => only_n.push(args.value(arg)?),
+            "--jobs" => cfg.jobs = args.jobs(arg)?,
+            "--no-cache" => cfg.cache = false,
+            "--cross-validate" => cfg.cross_validate = args.value(arg)?,
+            "--emit-certs" => cfg.emit_certs = true,
+            _ => return Err(CliError::unknown(arg)),
         }
-    }
-    let cfg = AnalysisConfig::resolve(&cli);
+        Ok(())
+    });
 
     let mut configs = Vec::new();
     for n in [4usize, 6, 8, 10, 12] {
@@ -270,7 +238,6 @@ fn main() {
         .collect::<Vec<_>>()
         .join(" ");
     perf.extra_str("max_states_schedule", &memo_schedule);
-    perf.extra_num("bnb_jobs", cfg.bnb_jobs as f64);
     perf.extra_num("analysis_failures", failures as f64);
     perf.extra_str("cache_enabled", if cfg.cache { "yes" } else { "no" });
     perf.extra_sim(&sim);

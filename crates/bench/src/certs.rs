@@ -1,6 +1,6 @@
 //! Post-sweep certificate pass: proof-carrying verdicts for bench runs.
 //!
-//! With `--emit-certs` (or `PMCS_EMIT_CERTS=1`), every bench binary
+//! With `--emit-certs`, every bench binary
 //! re-runs the proposed analysis over the same deterministically
 //! regenerated task sets **after** the timed sweep, this time with the
 //! proof transcript recorded ([`pmcs_core::certify_task_set`]), and

@@ -17,14 +17,15 @@
 //!   NPS meet, plus the proposed protocol rescuing the task);
 //! * `fig2 <a..f>` — regenerates one inset of Figure 2;
 //! * `runtime_table` — the analysis-runtime measurements reported in
-//!   prose in Section VII.
+//!   prose in Section VII;
+//! * `ablation`, `multicore`, `campaign` — the ablation study, the
+//!   multi-core sweep and the falsification campaign.
 //!
-//! All binaries resolve their execution knobs through
-//! [`pmcs_analysis::AnalysisConfig::resolve`] at the CLI edge — `--jobs N`
-//! beats the `PMCS_JOBS` environment variable beats the machine default,
-//! and likewise for `PMCS_AUDIT` — then write a machine-readable
-//! `BENCH_<bin>.json` perf record ([`perf`]); results are byte-identical
-//! for every thread count.
+//! Every binary (these and `pmcs-audit`, `pmcs-serve`) reads its command
+//! line through [`cli`]: flags are the only way to configure a run, and
+//! `--jobs N` defaults to every core. Each bench binary writes a
+//! machine-readable `BENCH_<bin>.json` perf record ([`perf`]); results are
+//! byte-identical for every thread count.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -32,6 +33,7 @@
 
 pub mod campaign;
 pub mod certs;
+pub mod cli;
 pub mod experiment;
 pub mod figures;
 pub mod multicore;

@@ -39,19 +39,6 @@ use crate::error::CoreError;
 use crate::wcrt::{DelayBound, DelayEngine};
 use crate::window::WindowModel;
 
-/// Conventional environment variable requesting audited solves: set
-/// `PMCS_AUDIT=1` (or `true`) and every solve of the WCRT fixed-point
-/// iteration is re-verified with exact rational arithmetic
-/// ([`pmcs_milp::audit`]). A refuted answer surfaces as
-/// [`CoreError::AuditFailed`] instead of silently feeding a wrong bound
-/// into the iteration.
-///
-/// This crate never reads the variable itself: it is honored only at the
-/// CLI edge, by `pmcs_analysis::AnalysisConfig::resolve` (precedence
-/// flag > env > default), which then constructs the engine with the
-/// `audit` field set explicitly.
-pub const AUDIT_ENV_VAR: &str = "PMCS_AUDIT";
-
 /// Delay engine backed by the faithful MILP formulation.
 ///
 /// Exponentially slower than [`ExactEngine`](crate::ExactEngine) on large
@@ -62,8 +49,9 @@ pub struct MilpEngine {
     /// Branch-and-bound limits handed to the solver.
     pub limits: Limits,
     /// When `true`, every solve is re-verified with exact rational
-    /// arithmetic and a refuted answer is an error. Off by default;
-    /// callers honoring [`AUDIT_ENV_VAR`] set it explicitly.
+    /// arithmetic and a refuted answer is an error (surfacing as
+    /// [`CoreError::AuditFailed`] instead of silently feeding a wrong
+    /// bound into the WCRT iteration). Off by default.
     pub audit: bool,
     /// LP backend for the relaxations. [`BackendKind::Dense`] (the
     /// default) keeps the reference pipeline: every round rebuilds and
@@ -405,11 +393,6 @@ pub(crate) struct Formulation {
     /// `Δ_k` at its slot cap ([`SlotCaps::delay_cap_ticks`]). Used as the
     /// safe fallback delay when a solve is gated or hits its node limit.
     pub(crate) delay_cap: f64,
-    /// Plain/urgent execution variables per (task, slot); kept so the
-    /// branch-and-bound LP bounding can pin a search prefix through
-    /// variable bounds.
-    pub(crate) e: VarGrid,
-    pub(crate) le: VarGrid,
 }
 
 impl Formulation {
@@ -721,8 +704,6 @@ impl Formulation {
         Formulation {
             problem: p,
             delay_cap: caps.delay_cap_ticks() as f64,
-            e,
-            le,
         }
     }
 }

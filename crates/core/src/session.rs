@@ -437,7 +437,7 @@ mod tests {
         let t2 = test_task(2, 30, 6, 6, 300, 2, false);
 
         session.admit(t0.clone()).expect("admit τ0");
-        assert_eq!(*session.report(), batch(&[t0.clone()]));
+        assert_eq!(*session.report(), batch(std::slice::from_ref(&t0)));
 
         session.admit(t1.clone()).expect("admit τ1");
         session.admit(t2.clone()).expect("admit τ2");

@@ -8,7 +8,9 @@
 //!   seeded workload from concurrent clients, verify every response
 //!   against the from-scratch batch analyzer after the timed phase, and
 //!   write `BENCH_serve.json` (qps, p50/p99 latency, shared-cache hit
-//!   rate, verdict reuse rate). Any response mismatch exits nonzero.
+//!   rate, verdict reuse rate). Any response mismatch exits 1.
+//!
+//! A malformed command line prints the usage on stderr and exits 2.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -16,6 +18,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use pmcs_bench::cli::{Args, CliError};
 use pmcs_serve::bench::BenchConfig;
 use pmcs_serve::server::ServerConfig;
 
@@ -48,70 +51,36 @@ OPTIONS (bench):
 ";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut command: Option<String> = None;
     let mut server = ServerConfig::default();
     let mut bench = BenchConfig::default();
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
+    let mut args = Args::from_env(USAGE);
+    args.parse(|arg, args| {
+        match arg {
             "--no-perf" => bench.perf = false,
-            "--addr" | "--workers" | "--capacity" | "--clients" | "--ops" | "--seed"
-            | "--tasks" | "--log" => {
-                let Some(value) = it.next() else {
-                    eprintln!("error: {arg} requires a value");
-                    return ExitCode::FAILURE;
-                };
-                let ok = match arg.as_str() {
-                    "--addr" => {
-                        server.addr = value.clone();
-                        true
-                    }
-                    "--workers" => value.parse().map(|v| server.workers = v).is_ok(),
-                    "--capacity" => value
-                        .parse()
-                        .map(|v| server.session_capacity = Some(v))
-                        .is_ok(),
-                    "--clients" => value.parse().map(|v| bench.clients = v).is_ok(),
-                    "--ops" => value.parse().map(|v| bench.ops = v).is_ok(),
-                    "--seed" => value.parse().map(|v| bench.seed = v).is_ok(),
-                    "--tasks" => value.parse().map(|v| bench.tasks = v).is_ok(),
-                    _ => {
-                        bench.log = Some(PathBuf::from(value));
-                        true
-                    }
-                };
-                if !ok {
-                    eprintln!("error: invalid value {value:?} for {arg}");
-                    return ExitCode::FAILURE;
-                }
+            "--addr" => server.addr = args.value(arg)?,
+            "--workers" => server.workers = args.value(arg)?,
+            "--capacity" => server.session_capacity = Some(args.value(arg)?),
+            "--clients" => bench.clients = args.value(arg)?,
+            "--ops" => bench.ops = args.value(arg)?,
+            "--seed" => bench.seed = args.value(arg)?,
+            "--tasks" => {
+                bench.tasks = args.value_with(arg, |v| v.parse().ok().filter(|&n| n >= 1))?
             }
+            "--log" => bench.log = Some(args.value::<PathBuf>(arg)?),
             other if command.is_none() && !other.starts_with('-') => {
                 command = Some(other.to_string());
             }
-            other => {
-                eprintln!("error: unexpected argument {other:?}\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(CliError::unknown(other)),
         }
-    }
+        Ok(())
+    });
 
     match command.as_deref() {
         Some("listen") => cmd_listen(&server),
         Some("bench") => cmd_bench(&bench),
-        Some(other) => {
-            eprintln!("error: unknown command {other:?}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
-        None => {
-            print!("{USAGE}");
-            ExitCode::FAILURE
-        }
+        Some(other) => args.fail(format!("unknown command {other:?}")),
+        None => args.fail("missing command"),
     }
 }
 
@@ -130,10 +99,6 @@ fn cmd_listen(cfg: &ServerConfig) -> ExitCode {
 }
 
 fn cmd_bench(cfg: &BenchConfig) -> ExitCode {
-    if cfg.tasks == 0 {
-        eprintln!("error: --tasks must be at least 1");
-        return ExitCode::FAILURE;
-    }
     let outcome = match pmcs_serve::run_bench(cfg) {
         Ok(o) => o,
         Err(e) => {
