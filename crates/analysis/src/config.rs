@@ -5,8 +5,6 @@
 //! from their command line (`pmcs_bench::cli`), which is the only way to
 //! configure a run.
 
-use pmcs_core::BackendKind;
-
 /// Analysis configuration.
 ///
 /// [`AnalysisConfig::default`] is single-threaded, cached, unaudited,
@@ -26,11 +24,6 @@ pub struct AnalysisConfig {
     /// Memoization-entry budget of the exact engine (the solver limit:
     /// roughly bounds per-window memory and time).
     pub max_states: usize,
-    /// `Some(kind)` replaces the exact-engine base of the stack with the
-    /// MILP engine on that LP backend ([`BackendKind::Revised`] enables
-    /// presolve, incremental RHS updates and warm starts). `None` (the
-    /// default) keeps the exact combinatorial engine.
-    pub lp_backend: Option<BackendKind>,
     /// Number of adversarial release plans to simulate per schedulable
     /// set, checking observed worst responses against the analytical WCRT
     /// bounds (`0` disables cross-validation).
@@ -48,7 +41,6 @@ impl Default for AnalysisConfig {
             cache: true,
             audit: false,
             max_states: pmcs_core::engine::DEFAULT_MAX_STATES,
-            lp_backend: None,
             cross_validate: 0,
             emit_certs: false,
         }
@@ -65,13 +57,6 @@ impl AnalysisConfig {
     /// A copy with the delay cache enabled or disabled.
     pub fn with_cache(mut self, cache: bool) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// A copy with the MILP base engine on the given LP backend
-    /// (`None` restores the exact-engine base).
-    pub fn with_lp_backend(mut self, backend: Option<BackendKind>) -> Self {
-        self.lp_backend = backend;
         self
     }
 
@@ -94,13 +79,6 @@ mod tests {
         assert!(cfg.cache);
         assert!(!cfg.audit);
         assert!(cfg.max_states > 0);
-    }
-
-    #[test]
-    fn lp_backend_defaults_to_none() {
-        assert_eq!(AnalysisConfig::default().lp_backend, None);
-        let cfg = AnalysisConfig::default().with_lp_backend(Some(BackendKind::Dense));
-        assert_eq!(cfg.lp_backend, Some(BackendKind::Dense));
     }
 
     #[test]

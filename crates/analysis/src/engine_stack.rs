@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use pmcs_core::wcrt::DelayBound;
 use pmcs_core::{
-    BackendKind, CacheStats, CachedEngine, CoreError, DelayEngine, ExactEngine, MilpEngine,
-    SharedCachedEngine, SharedDelayCache, SolverStats, WindowModel,
+    CacheStats, CachedEngine, CoreError, DelayEngine, ExactEngine, MilpEngine, SharedCachedEngine,
+    SharedDelayCache, SolverStats, WindowModel,
 };
 
 use crate::config::AnalysisConfig;
@@ -34,20 +34,14 @@ pub trait StackEngine: DelayEngine + Send {
         CacheStats::default()
     }
 
-    /// Cumulative solver effort (nodes, LP pivots, presolve reductions,
-    /// warm starts) of this layer and below.
+    /// Cumulative solver effort (search nodes, LP solves and pivots, DP
+    /// fallbacks) of this layer and below.
     fn solver_stats(&self) -> SolverStats {
         SolverStats::default()
     }
 }
 
 impl StackEngine for ExactEngine {
-    fn solver_stats(&self) -> SolverStats {
-        self.solver_stats()
-    }
-}
-
-impl StackEngine for MilpEngine {
     fn solver_stats(&self) -> SolverStats {
         self.solver_stats()
     }
@@ -169,21 +163,6 @@ impl<E: StackEngine> StackEngine for AuditedEngine<E> {
     }
 }
 
-/// Effort gate for the MILP stack base: windows whose formulation has
-/// more integral variables than this are not solved — the engine
-/// substitutes the formulation's deterministic safe delay cap instead
-/// (see `MilpEngine::bin_budget`). Calibrated on the Figure 2 workloads,
-/// where windows below this size solve in at most a few thousand
-/// branch-and-bound nodes and windows above it exhaust any node budget
-/// (the big-M relaxation cannot prune the symmetric placement tree).
-const MILP_BASE_BIN_BUDGET: usize = 60;
-
-/// Node budget backstop for gated sweeps: generous headroom over the
-/// worst observed node count (< 2 000) for windows under
-/// [`MILP_BASE_BIN_BUDGET`], so both LP backends solve every admitted
-/// window to proven optimality and agree on every verdict.
-const MILP_BASE_MAX_NODES: usize = 20_000;
-
 /// The assembled engine stack: a boxed pile of [`StackEngine`] layers
 /// built by [`EngineStack::build`] from one [`AnalysisConfig`].
 ///
@@ -198,11 +177,6 @@ pub struct EngineStack {
 impl EngineStack {
     /// Assembles the stack described by `cfg` with a private (per-stack)
     /// window cache when `cfg.cache` is on.
-    ///
-    /// `cfg.lp_backend` picks the base: `None` keeps the exact
-    /// combinatorial engine, `Some(kind)` substitutes the MILP engine on
-    /// that LP backend (with the revised backend this is the incremental
-    /// presolve-once / warm-start pipeline).
     pub fn build(cfg: &AnalysisConfig) -> Self {
         Self::assemble(cfg, None)
     }
@@ -222,44 +196,16 @@ impl EngineStack {
         // The audited (but uncached) pile plus its layer names with and
         // without the cache wrapper; the cache layer itself is decided
         // once, below, so private and shared caching cannot drift.
+        let base = ExactEngine::with_max_states(cfg.max_states);
         let (inner, plain, cached): (Box<dyn StackEngine>, &'static str, &'static str) =
-            match cfg.lp_backend {
-                None => {
-                    let base = ExactEngine::with_max_states(cfg.max_states);
-                    if cfg.audit {
-                        (
-                            Box::new(AuditedEngine::new(base)) as _,
-                            "audited(exact)",
-                            "cached(audited(exact))",
-                        )
-                    } else {
-                        (Box::new(base) as _, "exact", "cached(exact)")
-                    }
-                }
-                Some(kind) => {
-                    let mut base = MilpEngine::new()
-                        .with_backend(kind)
-                        .with_bin_budget(Some(MILP_BASE_BIN_BUDGET));
-                    base.limits.max_nodes = MILP_BASE_MAX_NODES;
-                    match (cfg.audit, kind) {
-                        (false, BackendKind::Dense) => {
-                            (Box::new(base) as _, "milp:dense", "cached(milp:dense)")
-                        }
-                        (false, BackendKind::Revised) => {
-                            (Box::new(base) as _, "milp:revised", "cached(milp:revised)")
-                        }
-                        (true, BackendKind::Dense) => (
-                            Box::new(AuditedEngine::new(base)) as _,
-                            "audited(milp:dense)",
-                            "cached(audited(milp:dense))",
-                        ),
-                        (true, BackendKind::Revised) => (
-                            Box::new(AuditedEngine::new(base)) as _,
-                            "audited(milp:revised)",
-                            "cached(audited(milp:revised))",
-                        ),
-                    }
-                }
+            if cfg.audit {
+                (
+                    Box::new(AuditedEngine::new(base)),
+                    "audited(exact)",
+                    "cached(audited(exact))",
+                )
+            } else {
+                (Box::new(base), "exact", "cached(exact)")
             };
         let (engine, layers): (Box<dyn StackEngine>, &'static str) = match (cfg.cache, shared) {
             (false, _) => (inner, plain),
@@ -303,16 +249,14 @@ impl fmt::Debug for EngineStack {
 }
 
 /// Builds the MILP engine the way the stack would: solver limits at
-/// their defaults, audited mode from `cfg.audit`, LP backend from
-/// `cfg.lp_backend` (the dense reference backend when unset). The
-/// `pmcs-audit` CLI uses this instead of assembling engines by hand.
+/// their defaults, audited mode from `cfg.audit`. The `pmcs-audit` CLI
+/// uses this instead of assembling engines by hand.
 pub fn milp_engine(cfg: &AnalysisConfig) -> MilpEngine {
-    let engine = if cfg.audit {
+    if cfg.audit {
         MilpEngine::audited()
     } else {
         MilpEngine::new()
-    };
-    engine.with_backend(cfg.lp_backend.unwrap_or_default())
+    }
 }
 
 #[cfg(test)]
@@ -422,61 +366,10 @@ mod tests {
     }
 
     #[test]
-    fn milp_engine_honors_lp_backend() {
-        assert_eq!(
-            milp_engine(&AnalysisConfig::default()).backend,
-            BackendKind::Dense
-        );
-        let cfg = AnalysisConfig {
-            lp_backend: Some(BackendKind::Revised),
-            ..AnalysisConfig::default()
-        };
-        assert_eq!(milp_engine(&cfg).backend, BackendKind::Revised);
-    }
-
-    #[test]
-    fn milp_based_stacks_agree_with_the_exact_base() {
-        let w = demo_window();
-        let reference = ExactEngine::default()
-            .max_total_delay(&w)
-            .expect("engine result");
-        for backend in [BackendKind::Dense, BackendKind::Revised] {
-            let cfg = AnalysisConfig {
-                lp_backend: Some(backend),
-                ..AnalysisConfig::default()
-            };
-            let stack = EngineStack::build(&cfg);
-            let bound = stack.max_total_delay(&w).expect("stack result");
-            assert_eq!(bound.delay, reference.delay, "stack {}", stack.layers());
-        }
-    }
-
-    #[test]
-    fn milp_layer_strings_name_the_backend() {
-        for (cache, audit, backend, expected) in [
-            (true, false, BackendKind::Dense, "cached(milp:dense)"),
-            (false, false, BackendKind::Revised, "milp:revised"),
-            (
-                true,
-                true,
-                BackendKind::Revised,
-                "cached(audited(milp:revised))",
-            ),
-        ] {
-            let cfg = AnalysisConfig {
-                cache,
-                audit,
-                lp_backend: Some(backend),
-                ..AnalysisConfig::default()
-            };
-            assert_eq!(EngineStack::build(&cfg).layers(), expected);
-        }
-    }
-
-    #[test]
     fn solver_stats_flow_through_the_stack() {
+        // The audited layer adds its reference MILP's LP effort.
         let cfg = AnalysisConfig {
-            lp_backend: Some(BackendKind::Revised),
+            audit: true,
             cache: false,
             ..AnalysisConfig::default()
         };
@@ -485,6 +378,7 @@ mod tests {
         let _ = stack.max_total_delay(&demo_window()).expect("stack result");
         let stats = stack.solver_stats();
         assert!(stats.lp_solves > 0, "stats not threaded: {stats}");
+        assert!(stats.lp_pivots > 0, "pivots not counted: {stats}");
         // The exact base reports its search nodes through the same shape.
         let exact = EngineStack::build(&AnalysisConfig {
             cache: false,

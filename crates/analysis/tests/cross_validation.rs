@@ -1,12 +1,11 @@
 //! Property tests for the simulation-vs-analysis cross-validation layer:
 //! the analyzer and simulator registries stay aligned, and on random
 //! small task sets no registered approach is refuted by adversarial
-//! simulation — under the exact engine and under both LP backends.
+//! simulation.
 
 use proptest::prelude::*;
 
 use pmcs_analysis::{cross_validate, AnalysisConfig, AnalysisContext, Registry};
-use pmcs_core::BackendKind;
 use pmcs_model::TaskSet;
 use pmcs_workload::{TaskSetConfig, TaskSetGenerator};
 
@@ -35,38 +34,33 @@ fn random_set(n: usize, util_step: u8, seed: u64) -> TaskSet {
 }
 
 proptest! {
-    // Each case analyzes + simulates every approach under three engine
-    // stacks, so keep the case count small.
+    // Each case analyzes + simulates every approach, so keep the case
+    // count small.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// No registered approach is refuted on random small sets: traces
     /// satisfy Properties 1–4 and R1–R6, and observed worst responses
-    /// stay within the analytical WCRT — whichever engine stack produced
-    /// the bounds (exact, MILP on the dense LP backend, MILP on the
-    /// revised backend).
+    /// stay within the analytical WCRT bounds of the default (exact)
+    /// engine stack.
     #[test]
-    fn no_refutations_on_random_sets_under_any_backend(
+    fn no_refutations_on_random_sets(
         n in 3usize..=5,
         util_step in 2u8..=8,
         seed in any::<u64>(),
     ) {
         let set = random_set(n, util_step, seed);
         let approaches = Registry::standard().labels();
-        for backend in [None, Some(BackendKind::Dense), Some(BackendKind::Revised)] {
-            let cfg = AnalysisConfig::default().with_lp_backend(backend);
-            let ctx = AnalysisContext::new(&cfg);
-            for approach in &approaches {
-                let (_, counters, refutations) =
-                    cross_validate(&set, approach, 3, seed, &ctx).expect("cross-validation runs");
-                prop_assert_eq!(counters.plans_run, 3, "{}", approach);
-                prop_assert!(
-                    refutations.is_empty(),
-                    "{} refuted under backend {:?}: {:?}",
-                    approach,
-                    backend,
-                    refutations,
-                );
-            }
+        let ctx = AnalysisContext::new(&AnalysisConfig::default());
+        for approach in &approaches {
+            let (_, counters, refutations) =
+                cross_validate(&set, approach, 3, seed, &ctx).expect("cross-validation runs");
+            prop_assert_eq!(counters.plans_run, 3, "{}", approach);
+            prop_assert!(
+                refutations.is_empty(),
+                "{} refuted: {:?}",
+                approach,
+                refutations,
+            );
         }
     }
 }

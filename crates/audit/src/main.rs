@@ -110,7 +110,6 @@ OPTIONS:
                      (partition)                           [default: first-fit]
     --period <P>     bus replenishment period in ticks (partition)
     --budget <Q>     uniform per-core bus budget in ticks (partition)
-    --lp-backend <B> LP backend: dense | revised (milp/analyze/simulate)
     --corrupt <K>    cert emit: corrupt the bundle before printing
     --out <FILE>     cert emit: write the bundle here instead of stdout
     -h, --help       print this help
@@ -155,13 +154,10 @@ impl Default for Options {
 fn main() -> ExitCode {
     let mut positionals: Vec<String> = Vec::new();
     let mut opts = Options::default();
-    let mut cfg = analysis_defaults();
+    let cfg = analysis_defaults();
     let mut args = Args::from_env(USAGE);
     args.parse(|arg, args| {
         match arg {
-            "--lp-backend" => {
-                cfg.lp_backend = Some(args.value_with(arg, pmcs_core::BackendKind::parse)?);
-            }
             "--seed" => opts.seed = args.value(arg)?,
             "--tasks" => {
                 opts.tasks = args.value_with(arg, |v| v.parse().ok().filter(|&n| n >= 1))?
@@ -319,9 +315,7 @@ fn corrupt_copy_in(result: &SimResult) -> Option<(SimResult, pmcs_model::JobId)>
 fn cmd_milp(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
     let set = demo_set(opts);
     let engine = milp_engine(cfg);
-    // The audit always verifies against the original problem, so the
-    // backend choice only changes how the candidate solution is found.
-    let solver = Solver::new().with_backend(cfg.lp_backend.unwrap_or_default());
+    let solver = Solver::new();
     let mut failed = false;
 
     for task in set.iter() {

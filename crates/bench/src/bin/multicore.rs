@@ -6,7 +6,7 @@
 //! cargo run --release -p pmcs-bench --bin multicore -- \
 //!     [--cores M] [--sets N] [--seed S] [--period TICKS] \
 //!     [--util U] [--gamma G] [--jobs N] [--no-cache] \
-//!     [--lp-backend dense|revised] [--cross-validate N]
+//!     [--cross-validate N]
 //! ```
 //!
 //! Sweeps per-core regulation budgets (fractions of the fair share
@@ -33,12 +33,10 @@ use pmcs_bench::report::text_table;
 use pmcs_bench::{
     ascii_chart, sweep_multicore, write_csv, MulticoreConfig, PerfPoint, PerfRecord, SweepRow,
 };
-use pmcs_core::BackendKind;
 use pmcs_model::Time;
 
 const USAGE: &str = "usage: multicore [--cores M] [--sets N] [--seed S] [--period TICKS] \
-                     [--util U] [--gamma G] [--jobs N] [--no-cache] [--lp-backend dense|revised] \
-                     [--cross-validate N]";
+                     [--util U] [--gamma G] [--jobs N] [--no-cache] [--cross-validate N]";
 
 fn main() {
     let mut cores = 4usize;
@@ -61,9 +59,6 @@ fn main() {
             "--gamma" => gamma = Some(args.value(arg)?),
             "--jobs" => analysis.jobs = args.jobs(arg)?,
             "--no-cache" => analysis.cache = false,
-            "--lp-backend" => {
-                analysis.lp_backend = Some(args.value_with(arg, BackendKind::parse)?);
-            }
             "--cross-validate" => plans_flag = Some(args.value(arg)?),
             _ => return Err(CliError::unknown(arg)),
         }
@@ -146,13 +141,6 @@ fn main() {
     perf.extra_str(
         "cache_enabled",
         if mc.analysis.cache { "yes" } else { "no" },
-    );
-    perf.extra_str(
-        "engine",
-        match mc.analysis.lp_backend {
-            Some(kind) => kind.name(),
-            None => "exact",
-        },
     );
     perf.extra_solver("solver_total", out.solver);
     perf.extra_sim(&out.sim);

@@ -64,31 +64,13 @@ impl PerfRecord {
         self.extras.push((key.to_string(), json_str(value)));
     }
 
-    /// Attaches one solver-effort record under `prefix` (B&B nodes, LP
-    /// solves/pivots, warm-start attempts/hits/rate, presolve
-    /// reductions), e.g. `solver_proposed_bb_nodes`.
+    /// Attaches one solver-effort record under `prefix` (B&B nodes, DP
+    /// fallbacks, LP solves/pivots), e.g. `solver_proposed_bb_nodes`.
     pub fn extra_solver(&mut self, prefix: &str, stats: SolverStats) {
         self.extra_num(&format!("{prefix}_bb_nodes"), stats.bb_nodes as f64);
         self.extra_num(&format!("{prefix}_dp_fallbacks"), stats.dp_fallbacks as f64);
         self.extra_num(&format!("{prefix}_lp_solves"), stats.lp_solves as f64);
         self.extra_num(&format!("{prefix}_lp_pivots"), stats.lp_pivots as f64);
-        self.extra_num(
-            &format!("{prefix}_warm_start_attempts"),
-            stats.warm_start_attempts as f64,
-        );
-        self.extra_num(
-            &format!("{prefix}_warm_start_hits"),
-            stats.warm_start_hits as f64,
-        );
-        self.extra_num(&format!("{prefix}_warm_hit_rate"), stats.warm_hit_rate());
-        self.extra_num(
-            &format!("{prefix}_presolve_vars_fixed"),
-            stats.presolve_vars_fixed as f64,
-        );
-        self.extra_num(
-            &format!("{prefix}_presolve_rows_removed"),
-            stats.presolve_rows_removed as f64,
-        );
     }
 
     /// Attaches the certificate-pass counters as the four `cert_*` keys
@@ -252,15 +234,15 @@ mod tests {
             SolverStats {
                 bb_nodes: 7,
                 dp_fallbacks: 2,
-                warm_start_attempts: 4,
-                warm_start_hits: 3,
+                lp_pivots: 4,
                 ..SolverStats::default()
             },
         );
         let j = r.to_json();
         assert!(j.contains("\"solver_proposed_bb_nodes\": 7"));
         assert!(j.contains("\"solver_proposed_dp_fallbacks\": 2"));
-        assert!(j.contains("\"solver_proposed_warm_hit_rate\": 0.75"));
+        assert!(j.contains("\"solver_proposed_lp_pivots\": 4"));
+        assert!(!j.contains("warm"));
     }
 
     #[test]

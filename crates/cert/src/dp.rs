@@ -613,7 +613,7 @@ pub fn safe_cap(sem: &WindowSem) -> i128 {
 }
 
 /// Recomputes the MILP formulation's deterministic `Σ_k Δcap_k` delay
-/// cap (its effort-gated fallback bound): one per-slot interval cap —
+/// cap (its node-limit fallback bound): one per-slot interval cap —
 /// `max(dcpu, din + dout)` over the placement variables that
 /// structurally exist at the slot — summed over every interval. Derived
 /// from the window's *recorded* LS flags; the MILP path applies no

@@ -24,14 +24,11 @@
 //! * The task under analysis never appears as a cancellation victim: its
 //!   copy-in is pinned to `I_{N−2}` by Constraint 12.
 
-use std::cell::{Cell, RefCell};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::cell::Cell;
 
 use pmcs_milp::{
-    presolve, AuditReport, AuditedOutcome, BackendKind, BasisStore, BasisStoreStats, Cmp, Limits,
-    LinExpr, MilpError, MilpSolution, Objective, PresolveOutcome, Problem, Solver, SolverStats,
-    Var,
+    AuditReport, AuditedOutcome, Cmp, Limits, LinExpr, MilpError, MilpSolution, Problem, Solver,
+    SolverStats, Var,
 };
 use pmcs_model::Time;
 
@@ -53,37 +50,6 @@ pub struct MilpEngine {
     /// [`CoreError::AuditFailed`] instead of silently feeding a wrong
     /// bound into the WCRT iteration). Off by default.
     pub audit: bool,
-    /// LP backend for the relaxations. [`BackendKind::Dense`] (the
-    /// default) keeps the reference pipeline: every round rebuilds and
-    /// solves the full problem on the dense tableau. [`BackendKind::Revised`]
-    /// enables the incremental path: the window program is presolved once
-    /// per structure, across fixed-point rounds only the `C7_j` budget-row
-    /// right-hand sides are mutated in place, and each re-solve warm-starts
-    /// from the previous round's root basis.
-    pub backend: BackendKind,
-    /// Effort gate: windows whose formulation has more than this many
-    /// integral variables are not solved at all — the engine returns the
-    /// formulation's deterministic safe delay cap (`N · M`, an upper
-    /// bound on the objective `Σ_k Δ_k`) with `exact = false` instead.
-    ///
-    /// The big-M placement formulation has an LP relaxation too weak to
-    /// prune its highly symmetric branch-and-bound tree, so large windows
-    /// are intractable for *any* LP backend (the paper solves them with
-    /// CPLEX's cut generation, which this reproduction does not have).
-    /// The gate keeps bounded-effort sweeps deterministic: whether a
-    /// window is solved depends only on the problem, never on the
-    /// backend, so `dense` and `revised` produce identical verdicts by
-    /// construction. `None` (the default) never gates — the historical
-    /// behavior for validation-sized windows.
-    pub bin_budget: Option<usize>,
-    /// Presolved programs and warm-start bases reused across solves of
-    /// structurally identical windows (revised backend only). The store
-    /// is session-scoped: it answers for the last
-    /// [`DEFAULT_STORE_ENTRIES`](pmcs_milp::basis_store::DEFAULT_STORE_ENTRIES)
-    /// distinct structures, so repeated window shapes across *queries*
-    /// reuse their presolve and basis, not just consecutive fixed-point
-    /// rounds.
-    store: RefCell<BasisStore>,
     /// Cumulative solver effort across every solve this engine performed.
     stats: Cell<SolverStats>,
 }
@@ -94,8 +60,7 @@ impl MilpEngine {
         Self::default()
     }
 
-    /// Creates an engine that audits every solve regardless of the
-    /// environment.
+    /// Creates an engine that audits every solve.
     pub fn audited() -> Self {
         MilpEngine {
             audit: true,
@@ -103,22 +68,8 @@ impl MilpEngine {
         }
     }
 
-    /// Selects the LP backend (see the `backend` field).
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Sets the effort gate (see the `bin_budget` field).
-    #[must_use]
-    pub fn with_bin_budget(mut self, bin_budget: Option<usize>) -> Self {
-        self.bin_budget = bin_budget;
-        self
-    }
-
-    /// Cumulative solver effort (LP pivots, presolve reductions, B&B
-    /// nodes, warm-start hits) across every solve so far.
+    /// Cumulative solver effort (B&B nodes, LP solves and pivots) across
+    /// every solve so far.
     pub fn solver_stats(&self) -> SolverStats {
         self.stats.get()
     }
@@ -135,17 +86,10 @@ impl MilpEngine {
     }
 
     fn solve(&self, problem: &Problem) -> Result<MilpSolution, CoreError> {
-        let solver = Solver::with_limits(self.limits.clone()).with_backend(self.backend);
+        let solver = Solver::with_limits(self.limits.clone());
         if !self.audit {
-            if self.backend == BackendKind::Revised {
-                return self.solve_incremental(problem);
-            }
             return Ok(solver.solve(problem)?);
         }
-        // Audited solves always run the full pipeline: `Solver::solve`
-        // restores through the inverse transforms before the audit checks
-        // the answer against the original problem, so a presolve bug is a
-        // refutation, never a silent shift.
         let audited = solver.solve_audited(problem)?;
         if audited.report.failed() {
             return Err(audit_error(&audited.report));
@@ -158,86 +102,6 @@ impl MilpEngine {
             AuditedOutcome::Infeasible => Err(MilpError::Infeasible.into()),
         }
     }
-
-    /// The incremental path: presolve once per window structure, then on
-    /// every re-solve of a stored structure mutate only the budget-row
-    /// RHS values and warm-start from that structure's last root basis.
-    /// The [`BasisStore`] keeps many structures, so reuse spans queries,
-    /// not just consecutive fixed-point rounds.
-    fn solve_incremental(&self, problem: &Problem) -> Result<MilpSolution, CoreError> {
-        let budget_rows: Vec<(usize, f64)> = problem
-            .constraints()
-            .filter(|c| c.name().is_some_and(|n| n.starts_with("C7_")))
-            .map(|c| (c.index(), c.rhs()))
-            .collect();
-        let fingerprint = structural_fingerprint(problem, &budget_rows);
-
-        let mut store = self.store.borrow_mut();
-        if store.lookup(fingerprint) {
-            let entry = store.entry_mut(fingerprint).expect("hit implies entry");
-            for &(row, rhs) in &budget_rows {
-                entry.program.update_rhs(row, rhs)?;
-            }
-        } else {
-            let mutable: Vec<usize> = budget_rows.iter().map(|&(r, _)| r).collect();
-            let program = match presolve(problem, &mutable)? {
-                PresolveOutcome::Reduced(p) => p,
-                // See `solve`: the windows are feasible by construction.
-                PresolveOutcome::Infeasible(_) => return Err(MilpError::Infeasible.into()),
-            };
-            store.insert(fingerprint, program);
-        }
-        let entry = store.entry_mut(fingerprint).expect("populated above");
-        let solver = Solver::with_limits(self.limits.clone()).with_backend(BackendKind::Revised);
-        let solved = solver.solve_program(&entry.program, entry.basis.as_ref())?;
-        if solved.basis.is_some() {
-            entry.basis = solved.basis;
-        }
-        Ok(solved.solution)
-    }
-
-    /// Presolve/basis reuse counters of the structure store (revised
-    /// backend only; all zeros otherwise).
-    pub fn basis_store_stats(&self) -> BasisStoreStats {
-        self.store.borrow().stats()
-    }
-}
-
-/// Hashes everything about `problem` except the RHS of the budget rows:
-/// two fixed-point rounds with equal fingerprints differ at most in those
-/// RHS values, so the presolved program can be reused via
-/// [`PresolvedProblem::update_rhs`].
-fn structural_fingerprint(problem: &Problem, budget_rows: &[(usize, f64)]) -> u64 {
-    let mut h = DefaultHasher::new();
-    problem.num_vars().hash(&mut h);
-    matches!(problem.direction(), Objective::Maximize).hash(&mut h);
-    for v in problem.vars() {
-        let (lo, hi) = problem.var_bounds(v);
-        lo.to_bits().hash(&mut h);
-        hi.to_bits().hash(&mut h);
-        problem.var_kind(v).is_integral().hash(&mut h);
-    }
-    for c in problem.constraints() {
-        c.name().hash(&mut h);
-        (c.cmp() as u8).hash(&mut h);
-        for (var, coeff) in c.expr().iter() {
-            var.index().hash(&mut h);
-            coeff.to_bits().hash(&mut h);
-        }
-        c.expr().constant().to_bits().hash(&mut h);
-        if budget_rows
-            .binary_search_by_key(&c.index(), |&(r, _)| r)
-            .is_err()
-        {
-            c.rhs().to_bits().hash(&mut h);
-        }
-    }
-    for (var, coeff) in problem.objective().iter() {
-        var.index().hash(&mut h);
-        coeff.to_bits().hash(&mut h);
-    }
-    problem.objective().constant().to_bits().hash(&mut h);
-    h.finish()
 }
 
 /// Maps the first failed check of `report` to [`CoreError::AuditFailed`].
@@ -260,15 +124,6 @@ fn audit_error(report: &AuditReport) -> CoreError {
 impl DelayEngine for MilpEngine {
     fn max_total_delay(&self, w: &WindowModel) -> Result<DelayBound, CoreError> {
         let f = Formulation::build(w);
-        if let Some(budget) = self.bin_budget {
-            if f.problem.integral_vars().count() > budget {
-                return Ok(DelayBound {
-                    delay: Time::from_f64_ceil(f.delay_cap - 1e-6),
-                    exact: false,
-                    nodes: 0,
-                });
-            }
-        }
         let sol = self.solve(&f.problem)?;
         self.record(sol.stats());
         let (value, exact) = if sol.is_optimal() {
@@ -276,8 +131,7 @@ impl DelayEngine for MilpEngine {
         } else {
             // Node limit hit: fall back to the formulation's own cap, not
             // the search's remaining-tree bound. Both are safe upper
-            // bounds, but the cap is a function of the problem alone, so
-            // every LP backend reports the same (conservative) delay.
+            // bounds, but the cap is a function of the problem alone.
             (f.delay_cap, false)
         };
         // All durations are integer ticks, so the optimum is integral;
@@ -391,7 +245,7 @@ pub(crate) struct Formulation {
     pub(crate) problem: Problem,
     /// Deterministic upper bound on the objective: `Σ_k Δ_k` with each
     /// `Δ_k` at its slot cap ([`SlotCaps::delay_cap_ticks`]). Used as the
-    /// safe fallback delay when a solve is gated or hits its node limit.
+    /// safe fallback delay when a solve hits its node limit.
     pub(crate) delay_cap: f64,
 }
 
@@ -798,45 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn effort_gate_returns_the_deterministic_cap_for_both_backends() {
-        let w = window(
-            vec![
-                test_task(0, 10, 1, 1, 10_000, 0, false),
-                test_task(1, 500, 1, 1, 10_000, 1, false),
-            ],
-            0,
-            WindowCase::Nls,
-            12,
-        );
-        // A zero budget gates every window; the bound must not depend on
-        // the backend (it is computed from the formulation, not a search).
-        let gated: Vec<DelayBound> = [BackendKind::Dense, BackendKind::Revised]
-            .into_iter()
-            .map(|k| {
-                MilpEngine::new()
-                    .with_backend(k)
-                    .with_bin_budget(Some(0))
-                    .max_total_delay(&w)
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(gated[0].delay, gated[1].delay);
-        assert!(!gated[0].exact && gated[0].nodes == 0);
-        // The cap dominates the true optimum (515 here): it is a safe,
-        // conservative over-approximation, never an underestimate.
-        let full = MilpEngine::default().max_total_delay(&w).unwrap();
-        assert!(full.exact);
-        assert!(gated[0].delay >= full.delay);
-        // An ample budget never gates.
-        let ungated = MilpEngine::new()
-            .with_bin_budget(Some(10_000))
-            .max_total_delay(&w)
-            .unwrap();
-        assert_eq!(ungated.delay, full.delay);
-        assert!(ungated.exact);
-    }
-
-    #[test]
     fn problem_size_scales_with_intervals() {
         let w = window(
             vec![
@@ -850,58 +665,6 @@ mod tests {
         let p = MilpEngine::default().build_problem(&w);
         assert!(p.num_vars() > 4 * w.n());
         assert!(p.num_constraints() >= 2 * w.n());
-    }
-
-    #[test]
-    fn revised_backend_matches_dense_and_warm_starts() {
-        let tasks = || {
-            vec![
-                test_task(0, 10, 2, 2, 100, 0, false),
-                test_task(1, 20, 4, 4, 200, 1, false),
-                test_task(2, 30, 5, 5, 300, 2, true),
-            ]
-        };
-        let dense = MilpEngine::default();
-        let revised = MilpEngine::default().with_backend(BackendKind::Revised);
-        // Several window lengths: structure changes as n grows, and the
-        // repeat of each length exercises the fingerprint-reuse path the
-        // fixed-point iteration takes once budgets stabilize.
-        for t in [10, 25, 25, 50, 50] {
-            let w = window(tasks(), 0, WindowCase::Nls, t);
-            let a = dense.max_total_delay(&w).unwrap();
-            let b = revised.max_total_delay(&w).unwrap();
-            assert_eq!(a.delay, b.delay, "t={t}");
-            assert_eq!(a.exact, b.exact, "t={t}");
-        }
-        let stats = revised.solver_stats();
-        assert!(stats.lp_solves > 0);
-        assert!(
-            stats.warm_start_hits > 0,
-            "repeated structures must warm-start: {stats}"
-        );
-        assert!(
-            dense.solver_stats().warm_start_attempts == 0,
-            "dense reference path never warm-starts"
-        );
-        assert!(dense.solver_stats().bb_nodes > 0);
-    }
-
-    #[test]
-    fn audited_revised_backend_is_certified() {
-        let w = window(
-            vec![
-                test_task(0, 10, 2, 2, 100, 0, false),
-                test_task(1, 20, 4, 4, 200, 1, false),
-            ],
-            0,
-            WindowCase::Nls,
-            20,
-        );
-        let audited = MilpEngine::audited().with_backend(BackendKind::Revised);
-        let plain = MilpEngine::default();
-        let a = audited.max_total_delay(&w).unwrap();
-        let b = plain.max_total_delay(&w).unwrap();
-        assert_eq!(a.delay, b.delay);
     }
 
     #[test]

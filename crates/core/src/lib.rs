@@ -74,7 +74,7 @@ pub use partitioning::{
     analyze_platform, assign_budgets, partition, partition_regulated, BudgetAttempt, BudgetSearch,
     Heuristic, PartitionError, Partitioning,
 };
-pub use pmcs_milp::{BackendKind, SolverStats};
+pub use pmcs_milp::SolverStats;
 pub use protocol::{ProtocolRule, RULES};
 pub use schedulability::{
     analyze_task_set, analyze_task_set_traced, promotion_affects, GreedyTrace, LsAssignment,

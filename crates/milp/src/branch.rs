@@ -1,25 +1,19 @@
-//! Branch & bound for mixed-integer programs, generic over the LP
-//! backend and the search strategy.
+//! Branch & bound for mixed-integer programs.
 //!
-//! Node relaxations are priced through the [`LpBackend`] trait, so the
-//! same driver runs on the dense reference simplex or the sparse revised
-//! simplex. When the backend exports a basis (the revised one does),
-//! every child node warm-starts from its parent's optimal basis: the
-//! child differs only in one variable bound, so a few dual/primal repair
-//! pivots usually replace a full cold solve. The first root basis is also
-//! returned ([`BbRun::root_basis`]) so callers re-solving a structurally
-//! identical problem — the incremental window formulation across WCRT
-//! fixed-point rounds — can warm-start the *next* solve's root too.
+//! Every node prices its LP relaxation on the dense simplex
+//! ([`Simplex::solve_with_bounds_counted`]) under the node's variable-bound
+//! overrides. Open nodes are explored best-first on the LP bound
+//! inherited from the parent (deeper first on ties, diving toward
+//! incumbents), and a fractional node branches on the integral variable
+//! whose LP value is closest to `.5` (the classic most-fractional rule).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 
-use crate::backend::{backend_for, BackendKind, Basis, LpBackend, WarmStart};
 use crate::error::MilpError;
 use crate::expr::Var;
 use crate::problem::{Objective, Problem};
-use crate::simplex::LpOutcome;
+use crate::simplex::{LpOutcome, Simplex};
 use crate::solution::{MilpSolution, SolveStatus};
 use crate::stats::SolverStats;
 
@@ -44,62 +38,13 @@ impl Default for Limits {
     }
 }
 
-/// How the branching variable is chosen at a fractional node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BranchRule {
-    /// Branch on the integral variable whose LP value is closest to
-    /// `.5` (the classic most-fractional rule).
-    #[default]
-    MostFractional,
-    /// Branch on the lowest-index fractional integral variable (cheap,
-    /// deterministic; useful as a tie-free baseline).
-    FirstFractional,
-}
-
-/// How open nodes are ordered for exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NodeOrder {
-    /// Pop the node with the best inherited LP bound (deeper first on
-    /// ties, diving toward incumbents).
-    #[default]
-    BestFirst,
-    /// Pop the deepest node first (depth-first dive; best bound breaks
-    /// ties). Finds incumbents early at the cost of weaker pruning.
-    DepthFirst,
-}
-
-/// A branching/node-selection strategy for [`BranchAndBound`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Strategy {
-    /// Branching-variable rule.
-    pub branch: BranchRule,
-    /// Node exploration order.
-    pub order: NodeOrder,
-}
-
-/// Result of [`BranchAndBound::solve_with`]: the solution plus the root
-/// relaxation's optimal basis (when the backend exports bases).
-#[derive(Debug, Clone)]
-pub struct BbRun {
-    /// The MILP solution.
-    pub solution: MilpSolution,
-    /// Optimal basis of the root LP relaxation, for warm-starting the
-    /// next structurally identical solve.
-    pub root_basis: Option<Basis>,
-}
-
-/// A search node: variable-bound overrides plus its parent's LP bound
-/// and (when available) the parent's optimal basis for warm-starting.
+/// A search node: variable-bound overrides plus its parent's LP bound.
 #[derive(Debug, Clone)]
 struct Node {
     bounds: Vec<(f64, f64)>,
     /// LP bound inherited from the parent (internal maximization scale).
     bound: f64,
     depth: usize,
-    /// Parent's optimal basis, shared between both children.
-    basis: Option<Rc<Basis>>,
-    /// Heap discipline this node is ordered under (uniform per solve).
-    order: NodeOrder,
 }
 
 impl PartialEq for Node {
@@ -120,62 +65,34 @@ impl Ord for Node {
         // transitivity and corrupt the heap). NaN sorts above +∞, so a
         // NaN-bound node is popped first and then fathomed or re-bounded
         // by its own LP solve — never lost.
-        match self.order {
-            NodeOrder::BestFirst => self
-                .bound
-                .total_cmp(&other.bound)
-                .then(self.depth.cmp(&other.depth)),
-            NodeOrder::DepthFirst => self
-                .depth
-                .cmp(&other.depth)
-                .then(self.bound.total_cmp(&other.bound)),
-        }
+        self.bound
+            .total_cmp(&other.bound)
+            .then(self.depth.cmp(&other.depth))
     }
 }
 
 /// Branch & bound driver.
 ///
 /// Usually accessed through [`Solver`](crate::Solver); use directly to
-/// customize [`Limits`], the [`Strategy`] or the [`BackendKind`].
+/// customize [`Limits`].
 #[derive(Debug, Clone, Default)]
 pub struct BranchAndBound {
     limits: Limits,
-    strategy: Strategy,
-    backend: BackendKind,
 }
 
 impl BranchAndBound {
-    /// Creates a driver with the given limits, default strategy and the
-    /// dense reference backend.
+    /// Creates a driver with the given limits.
     pub fn new(limits: Limits) -> Self {
-        BranchAndBound {
-            limits,
-            strategy: Strategy::default(),
-            backend: BackendKind::default(),
-        }
+        BranchAndBound { limits }
     }
 
-    /// Selects the LP backend used by [`solve`](Self::solve).
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Selects the branching/node-selection strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Solves a mixed-integer program with the configured backend.
+    /// Solves a mixed-integer program.
     ///
     /// # Errors
     ///
     /// * [`MilpError::Infeasible`] — no integer-feasible point exists.
     /// * [`MilpError::Unbounded`] — the root relaxation is unbounded.
-    /// * [`MilpError::NumericalTrouble`] — the LP backend failed internally.
+    /// * [`MilpError::NumericalTrouble`] — the simplex failed internally.
     /// * [`MilpError::InvalidProblem`] — malformed input.
     ///
     /// Hitting [`Limits::max_nodes`] with an incumbent in hand is reported
@@ -184,24 +101,6 @@ impl BranchAndBound {
     /// if a feasible point was never found — in that case the solution
     /// carries the proven bound and an empty value vector.
     pub fn solve(&self, problem: &Problem) -> Result<MilpSolution, MilpError> {
-        let backend = backend_for(self.backend);
-        self.solve_with(problem, backend.as_ref(), None)
-            .map(|run| run.solution)
-    }
-
-    /// [`solve`](Self::solve) against an explicit backend, optionally
-    /// warm-starting the root relaxation from `root_basis`, and returning
-    /// the root's optimal basis for the caller's next solve.
-    ///
-    /// # Errors
-    ///
-    /// See [`solve`](Self::solve).
-    pub fn solve_with(
-        &self,
-        problem: &Problem,
-        backend: &dyn LpBackend,
-        root_basis: Option<&Basis>,
-    ) -> Result<BbRun, MilpError> {
         problem.validate()?;
         // Internal convention: maximize. Flip sign for minimization.
         let sign = match problem.direction() {
@@ -231,15 +130,13 @@ impl BranchAndBound {
             bounds: root_bounds,
             bound: f64::INFINITY,
             depth: 0,
-            basis: None,
-            order: self.strategy.order,
         });
 
         let mut incumbent: Option<(Vec<f64>, f64)> = None; // (values, internal obj)
         let mut nodes = 0usize;
         let mut limit_hit = false;
         let mut stats = SolverStats::default();
-        let mut out_root_basis: Option<Basis> = None;
+        let simplex = Simplex::default();
 
         while let Some(node) = heap.pop() {
             // Fathom against incumbent using the inherited bound.
@@ -256,25 +153,10 @@ impl BranchAndBound {
             }
             nodes += 1;
 
-            // Warm start: parent basis if inherited, else the caller's
-            // root basis for the root node.
-            let warm = match &node.basis {
-                Some(b) => Some(b.as_ref()),
-                None if node.depth == 0 => root_basis,
-                None => None,
-            };
-            let run = backend.solve_lp(problem, &node.bounds, warm)?;
+            let (outcome, pivots) = simplex.solve_with_bounds_counted(problem, &node.bounds)?;
             stats.lp_solves += 1;
-            stats.lp_pivots += run.pivots;
-            match run.warm {
-                WarmStart::Hit => {
-                    stats.warm_start_attempts += 1;
-                    stats.warm_start_hits += 1;
-                }
-                WarmStart::Miss => stats.warm_start_attempts += 1,
-                WarmStart::NotAttempted => {}
-            }
-            let lp = match run.outcome {
+            stats.lp_pivots += pivots;
+            let lp = match outcome {
                 LpOutcome::Infeasible => continue,
                 LpOutcome::Unbounded => {
                     // With all integral vars bounded this means the
@@ -283,10 +165,6 @@ impl BranchAndBound {
                 }
                 LpOutcome::Optimal(s) => s,
             };
-            if node.depth == 0 && out_root_basis.is_none() {
-                out_root_basis = run.basis.clone();
-            }
-            let child_basis = run.basis.map(Rc::new);
             let lp_bound = sign * lp.objective();
             if let Some((_, best)) = &incumbent {
                 if lp_bound <= *best + self.limits.gap_tol {
@@ -294,24 +172,16 @@ impl BranchAndBound {
                 }
             }
 
-            // Branching variable per the configured rule.
+            // Branch on the most fractional integral variable.
             let mut branch_var: Option<(usize, f64, f64)> = None; // (idx, value, score)
             for v in problem.integral_vars() {
                 let val = lp.value(v);
                 let frac = (val - val.round()).abs();
                 if frac > self.limits.int_tol {
-                    match self.strategy.branch {
-                        BranchRule::MostFractional => {
-                            let dist = (val - val.floor() - 0.5).abs(); // 0 = most fractional
-                            match branch_var {
-                                Some((_, _, d)) if d <= dist => {}
-                                _ => branch_var = Some((v.index(), val, dist)),
-                            }
-                        }
-                        BranchRule::FirstFractional => {
-                            branch_var = Some((v.index(), val, 0.0));
-                            break;
-                        }
+                    let dist = (val - val.floor() - 0.5).abs(); // 0 = most fractional
+                    match branch_var {
+                        Some((_, _, d)) if d <= dist => {}
+                        _ => branch_var = Some((v.index(), val, dist)),
                     }
                 }
             }
@@ -356,8 +226,6 @@ impl BranchAndBound {
                                 bounds: b,
                                 bound: lp_bound,
                                 depth: node.depth + 1,
-                                basis: child_basis.clone(),
-                                order: self.strategy.order,
                             });
                         }
                     }
@@ -371,8 +239,6 @@ impl BranchAndBound {
                                 bounds: b,
                                 bound: lp_bound,
                                 depth: node.depth + 1,
-                                basis: child_basis,
-                                order: self.strategy.order,
                             });
                         }
                     }
@@ -386,7 +252,7 @@ impl BranchAndBound {
             .map(|n| n.bound)
             .fold(f64::NEG_INFINITY, f64::max);
 
-        let solution = match incumbent {
+        match incumbent {
             Some((values, internal_obj)) => {
                 let status = if limit_hit && remaining_bound > internal_obj + self.limits.gap_tol {
                     SolveStatus::LimitReached {
@@ -395,32 +261,28 @@ impl BranchAndBound {
                 } else {
                     SolveStatus::Optimal
                 };
-                MilpSolution {
+                Ok(MilpSolution {
                     objective: sign * internal_obj,
                     values,
                     status,
                     stats,
-                }
+                })
             }
             None => {
                 if limit_hit {
-                    MilpSolution {
+                    Ok(MilpSolution {
                         values: Vec::new(),
                         objective: f64::NAN,
                         status: SolveStatus::LimitReached {
                             bound: sign * remaining_bound,
                         },
                         stats,
-                    }
+                    })
                 } else {
-                    return Err(MilpError::Infeasible);
+                    Err(MilpError::Infeasible)
                 }
             }
-        };
-        Ok(BbRun {
-            solution,
-            root_basis: out_root_basis,
-        })
+        }
     }
 }
 
@@ -451,7 +313,6 @@ fn finite_floor(v: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::RevisedBackend;
     use crate::problem::Cmp;
     use crate::Solver;
 
@@ -566,57 +427,11 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree_on_the_optimum() {
-        let p = twelve_item_knapsack();
-        let reference = Solver::new().solve(&p).unwrap();
-        for branch in [BranchRule::MostFractional, BranchRule::FirstFractional] {
-            for order in [NodeOrder::BestFirst, NodeOrder::DepthFirst] {
-                for backend in [BackendKind::Dense, BackendKind::Revised] {
-                    let bb = BranchAndBound::new(Limits::default())
-                        .with_strategy(Strategy { branch, order })
-                        .with_backend(backend);
-                    let s = bb.solve(&p).unwrap();
-                    assert!(
-                        (s.objective() - reference.objective()).abs() < 1e-6,
-                        "{branch:?}/{order:?}/{backend:?} found {} instead of {}",
-                        s.objective(),
-                        reference.objective()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn children_warm_start_from_parent_bases() {
-        let p = twelve_item_knapsack();
-        let bb = BranchAndBound::new(Limits::default());
-        let run = bb.solve_with(&p, &RevisedBackend::default(), None).unwrap();
-        let stats = run.solution.stats();
-        assert!(stats.bb_nodes > 1, "knapsack must branch");
-        assert_eq!(stats.lp_solves, stats.bb_nodes);
-        assert!(
-            stats.warm_start_hits > 0,
-            "children inherit parent bases: {stats}"
-        );
-        assert!(run.root_basis.is_some(), "root basis is exported");
-        // Warm-starting a fresh solve from the exported root basis is a
-        // recorded attempt too (the fixed-point-round scenario).
-        let rerun = bb
-            .solve_with(&p, &RevisedBackend::default(), run.root_basis.as_ref())
-            .unwrap();
-        assert!(rerun.solution.stats().warm_start_hits >= stats.warm_start_hits);
-        assert!((rerun.solution.objective() - run.solution.objective()).abs() < 1e-9);
-    }
-
-    #[test]
     fn node_ordering_is_total_with_nan_bounds() {
         let mk = |bound: f64, depth: usize| Node {
             bounds: Vec::new(),
             bound,
             depth,
-            basis: None,
-            order: NodeOrder::BestFirst,
         };
         let nan = mk(f64::NAN, 0);
         let fin = mk(5.0, 3);
@@ -649,19 +464,6 @@ mod tests {
         assert_eq!(popped[2], 7.0);
         assert_eq!(popped[3], 1.0);
         assert_eq!(popped[4], f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn depth_first_ordering_prefers_deeper_nodes() {
-        let mk = |bound: f64, depth: usize| Node {
-            bounds: Vec::new(),
-            bound,
-            depth,
-            basis: None,
-            order: NodeOrder::DepthFirst,
-        };
-        assert_eq!(mk(1.0, 5).cmp(&mk(100.0, 2)), Ordering::Greater);
-        assert_eq!(mk(1.0, 3).cmp(&mk(2.0, 3)), Ordering::Less);
     }
 
     #[test]

@@ -4,35 +4,28 @@
 //! solver, built from scratch for the `pmcs` workspace. It replaces the
 //! commercial solver (IBM CPLEX) used by the original paper.
 //!
-//! The solver is a staged pipeline:
+//! The solver is one pipeline:
 //!
 //! 1. **Problem IR** ([`problem`], [`expr`]) — variables, bounds,
 //!    constraints, objective.
-//! 2. **Presolve** ([`presolve`]) — fixed-variable substitution, bound
-//!    tightening, redundant-row elimination and power-of-two
-//!    equilibration, each emitting a reversible [`Transform`] so reduced
-//!    solutions map back to the original variable space.
-//! 3. **LP backends** ([`backend`]) — the original dense-tableau
-//!    two-phase simplex ([`simplex`]) retained as the *reference*
-//!    backend, and a sparse revised simplex with explicit basis
-//!    factorization and warm starts ([`revised`]).
-//! 4. **Branch & bound** ([`branch`]) — pluggable branching/node-selection
-//!    strategies; each child node warm-starts from its parent's basis
-//!    when the backend exports bases.
+//! 2. **LP relaxation** ([`simplex`]) — a dense-tableau two-phase
+//!    primal simplex with bounded variables, Dantzig pricing and a
+//!    Bland's-rule fallback on degenerate runs.
+//! 3. **Branch & bound** ([`branch`]) — best-first search on the
+//!    inherited LP bound, branching on the most fractional integral
+//!    variable; every node solves its relaxation from scratch.
+//! 4. **Exact audit** ([`audit`], [`exact`], [`certify`]) — rational
+//!    re-verification of answers and proof-tree certificates.
 //!
-//! Solver effort (LP pivots, presolve reductions, B&B nodes, warm-start
-//! hits) is threaded through every stage as [`SolverStats`].
+//! Solver effort (B&B nodes, LP solves and pivots) is threaded through
+//! every stage as [`SolverStats`].
 //!
 //! ## Correctness keystone
 //!
 //! [`Solver::solve_audited`] re-verifies answers with exact rational
-//! arithmetic against the **original, pre-presolve** problem: under the
-//! revised backend, [`Solver::solve`] restores reduced solutions through
-//! the inverse transform chain *before* any caller (including the audit)
-//! sees them. A bug anywhere in presolve, the revised simplex, or the
-//! transform inversion therefore surfaces as an audit failure instead of
-//! silently shifting the analysis. The dense backend solves the original
-//! problem directly and remains the differential-testing oracle.
+//! arithmetic against the problem it was given, so a floating-point slip
+//! anywhere in the simplex or the branch-and-bound bookkeeping surfaces
+//! as an audit failure instead of silently shifting the analysis.
 //!
 //! On node or iteration limits the solver reports the best *remaining
 //! upper bound* which, for the delay-maximization problems of the
@@ -60,17 +53,13 @@
 #![forbid(unsafe_code)]
 
 pub mod audit;
-pub mod backend;
-pub mod basis_store;
 pub mod branch;
 pub mod certify;
 pub mod error;
 pub mod exact;
 pub mod expr;
-pub mod presolve;
 pub mod problem;
 pub mod rational;
-pub mod revised;
 pub mod simplex;
 pub mod solution;
 pub mod stats;
@@ -79,47 +68,24 @@ pub use audit::{
     verify_bb_tree, verify_bound_multipliers, AuditCheck, AuditReport, AuditedOutcome,
     AuditedSolve, BbNode, BbTree, CheckStatus, InfeasibilityCertificate, NormRow, NormalForm,
 };
-pub use backend::{
-    backend_for, BackendKind, Basis, BasisStatus, DenseBackend, LpBackend, LpRun, RevisedBackend,
-    WarmStart,
-};
-pub use basis_store::{BasisStore, BasisStoreStats, StoredProgram};
-pub use branch::{BbRun, BranchAndBound, BranchRule, Limits, NodeOrder, Strategy};
+pub use branch::{BranchAndBound, Limits};
 pub use certify::{certify_upper_bound, CertifyLimits};
 pub use error::MilpError;
 pub use exact::{solve_dual_exact, DualOutcome};
 pub use expr::{LinExpr, Var};
-pub use presolve::{presolve, PresolveOutcome, PresolvedProblem, Transform};
 pub use problem::{Cmp, ConstraintRef, Objective, Problem, VarKind};
 pub use rational::Rational;
-pub use revised::RevisedSimplex;
 pub use simplex::{LpOutcome, LpSolution, Simplex};
 pub use solution::{MilpSolution, SolveStatus};
 pub use stats::SolverStats;
 
-/// Result of [`Solver::solve_program`]: the restored solution plus the
-/// root basis for warm-starting the next re-solve of the same program.
-#[derive(Debug, Clone)]
-pub struct SolvedProgram {
-    /// The MILP solution, already mapped back to original variable space.
-    pub solution: MilpSolution,
-    /// Root-relaxation basis of the reduced problem (pass to the next
-    /// [`Solver::solve_program`] call after [`PresolvedProblem::update_rhs`]).
-    pub basis: Option<Basis>,
-}
-
 /// Front-door MILP solver with default limits.
 ///
 /// Thin convenience wrapper over [`BranchAndBound`]; see the crate-level
-/// example. The [`BackendKind`] selects the LP pipeline: `Dense` solves
-/// the original problem on the reference dense simplex (no presolve, no
-/// warm starts — bit-identical to the pre-pipeline solver), `Revised`
-/// presolves first and prices nodes on the warm-starting revised simplex.
+/// example.
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
     limits: Limits,
-    backend: BackendKind,
-    strategy: Strategy,
 }
 
 impl Solver {
@@ -130,42 +96,10 @@ impl Solver {
 
     /// Creates a solver with explicit limits.
     pub fn with_limits(limits: Limits) -> Self {
-        Solver {
-            limits,
-            ..Solver::default()
-        }
-    }
-
-    /// Selects the LP backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Selects the branch-and-bound strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// The configured LP backend.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
-    fn bb(&self) -> BranchAndBound {
-        BranchAndBound::new(self.limits.clone())
-            .with_strategy(self.strategy)
-            .with_backend(self.backend)
+        Solver { limits }
     }
 
     /// Solves the problem to optimality (or to the configured limits).
-    ///
-    /// Under [`BackendKind::Revised`] the problem is presolved first and
-    /// the solution restored to original variable space, so callers see
-    /// identical semantics for both backends.
     ///
     /// # Errors
     ///
@@ -174,58 +108,11 @@ impl Solver {
     /// error: the returned solution carries [`SolveStatus::LimitReached`]
     /// together with the best proven bound.
     pub fn solve(&self, problem: &Problem) -> Result<MilpSolution, MilpError> {
-        match self.backend {
-            BackendKind::Dense => self.bb().solve(problem),
-            BackendKind::Revised => match presolve(problem, &[])? {
-                PresolveOutcome::Infeasible(_) => Err(MilpError::Infeasible),
-                PresolveOutcome::Reduced(program) => {
-                    self.solve_program(&program, None).map(|run| run.solution)
-                }
-            },
-        }
-    }
-
-    /// Solves a presolved program on the revised backend, optionally
-    /// warm-starting the root relaxation from a prior solve's basis.
-    ///
-    /// The returned solution is restored to *original* variable space and
-    /// its [`SolverStats`] include the program's presolve reductions. This
-    /// is the incremental-formulation entry point: presolve once, then
-    /// per fixed-point round call [`PresolvedProblem::update_rhs`] and
-    /// re-solve here with the previous round's [`SolvedProgram::basis`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Solver::solve`].
-    pub fn solve_program(
-        &self,
-        program: &PresolvedProblem,
-        warm: Option<&Basis>,
-    ) -> Result<SolvedProgram, MilpError> {
-        let run = self
-            .bb()
-            .solve_with(program.reduced(), &RevisedBackend::default(), warm)?;
-        let mut solution = run.solution;
-        if !solution.values.is_empty() {
-            // Empty values = limit hit before any incumbent; nothing to
-            // restore in that case.
-            solution.values = program.restore(&solution.values);
-        }
-        solution.stats.merge(program.stats());
-        Ok(SolvedProgram {
-            solution,
-            basis: run.root_basis,
-        })
+        BranchAndBound::new(self.limits.clone()).solve(problem)
     }
 
     /// Solves the problem and re-verifies the solver's answer with exact
     /// rational arithmetic (see [`audit`]).
-    ///
-    /// The audit always checks against the problem passed *here* — the
-    /// original, pre-presolve formulation. Under the revised backend,
-    /// [`Solver::solve`] has already composed the inverse presolve
-    /// transforms, so a transform bug fails the audit rather than passing
-    /// unnoticed (the correctness keystone of the staged pipeline).
     ///
     /// An `Infeasible` verdict is *not* an error here: the auditor turns
     /// it into an [`AuditedOutcome::Infeasible`] with a checked

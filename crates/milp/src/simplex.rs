@@ -29,12 +29,6 @@ pub struct LpSolution {
 }
 
 impl LpSolution {
-    /// Assembles a solution from extracted values (used by the LP
-    /// backends; `objective` must already include the constant term).
-    pub(crate) fn from_parts(values: Vec<f64>, objective: f64) -> LpSolution {
-        LpSolution { values, objective }
-    }
-
     /// Value of a variable at the optimum.
     pub fn value(&self, var: Var) -> f64 {
         self.values[var.index()]

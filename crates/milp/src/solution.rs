@@ -67,7 +67,7 @@ impl MilpSolution {
     }
 
     /// Full solver-effort record for this solve (nodes, LP solves,
-    /// pivots, warm starts, presolve reductions).
+    /// pivots).
     pub fn stats(&self) -> SolverStats {
         self.stats
     }

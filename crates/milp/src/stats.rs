@@ -3,7 +3,7 @@
 //! Before the staged-pipeline refactor, branch-and-bound node counts and
 //! LP iteration counts died inside the solver: `MilpSolution` carried a
 //! bare node count and everything else was discarded. [`SolverStats`] is
-//! the uniform effort record threaded from the LP backends through
+//! the uniform effort record threaded from the simplex through
 //! [`BranchAndBound`](crate::BranchAndBound) and up to the analysis
 //! reports and `BENCH_<bin>.json` perf records.
 //!
@@ -23,25 +23,14 @@ pub struct SolverStats {
     /// Branch-and-bound nodes explored (for the combinatorial
     /// `ExactEngine` this counts its search nodes instead).
     pub bb_nodes: u64,
-    /// LP relaxations solved (one per B&B node that reached the backend).
+    /// LP relaxations solved (one per B&B node that reached the simplex).
     pub lp_solves: u64,
     /// Simplex pivots performed across all LP solves, bound flips
     /// included.
     pub lp_pivots: u64,
-    /// LP solves that were offered a starting basis.
-    pub warm_start_attempts: u64,
-    /// Offered bases that were actually adopted (factorizable and
-    /// complete); a miss falls back to a cold start.
-    pub warm_start_hits: u64,
-    /// Variables eliminated by presolve fixed-variable substitution.
-    pub presolve_vars_fixed: u64,
-    /// Rows removed by presolve (singleton conversion or redundancy).
-    pub presolve_rows_removed: u64,
-    /// Variable bounds tightened by presolve.
-    pub presolve_bounds_tightened: u64,
     /// Exact-DP solves that exhausted a search budget (memo entries,
     /// nodes, or the a-priori state-count gate) and degraded to the safe
-    /// closed-form fallback cap. Zero for the MILP engines; a nonzero
+    /// closed-form fallback cap. Zero for the MILP engine; a nonzero
     /// count means some window bounds are conservative, not exact.
     pub dp_fallbacks: u64,
 }
@@ -52,11 +41,6 @@ impl SolverStats {
         self.bb_nodes += other.bb_nodes;
         self.lp_solves += other.lp_solves;
         self.lp_pivots += other.lp_pivots;
-        self.warm_start_attempts += other.warm_start_attempts;
-        self.warm_start_hits += other.warm_start_hits;
-        self.presolve_vars_fixed += other.presolve_vars_fixed;
-        self.presolve_rows_removed += other.presolve_rows_removed;
-        self.presolve_bounds_tightened += other.presolve_bounds_tightened;
         self.dp_fallbacks += other.dp_fallbacks;
     }
 
@@ -67,30 +51,7 @@ impl SolverStats {
             bb_nodes: self.bb_nodes.saturating_sub(earlier.bb_nodes),
             lp_solves: self.lp_solves.saturating_sub(earlier.lp_solves),
             lp_pivots: self.lp_pivots.saturating_sub(earlier.lp_pivots),
-            warm_start_attempts: self
-                .warm_start_attempts
-                .saturating_sub(earlier.warm_start_attempts),
-            warm_start_hits: self.warm_start_hits.saturating_sub(earlier.warm_start_hits),
-            presolve_vars_fixed: self
-                .presolve_vars_fixed
-                .saturating_sub(earlier.presolve_vars_fixed),
-            presolve_rows_removed: self
-                .presolve_rows_removed
-                .saturating_sub(earlier.presolve_rows_removed),
-            presolve_bounds_tightened: self
-                .presolve_bounds_tightened
-                .saturating_sub(earlier.presolve_bounds_tightened),
             dp_fallbacks: self.dp_fallbacks.saturating_sub(earlier.dp_fallbacks),
-        }
-    }
-
-    /// `warm_start_hits / warm_start_attempts`, or `0.0` before the
-    /// first attempt.
-    pub fn warm_hit_rate(&self) -> f64 {
-        if self.warm_start_attempts == 0 {
-            0.0
-        } else {
-            self.warm_start_hits as f64 / self.warm_start_attempts as f64
         }
     }
 
@@ -104,18 +65,8 @@ impl fmt::Display for SolverStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} nodes, {} LP solves, {} pivots, warm {}/{} ({:.0}%), \
-             presolve −{} vars −{} rows {} bounds, {} DP fallbacks",
-            self.bb_nodes,
-            self.lp_solves,
-            self.lp_pivots,
-            self.warm_start_hits,
-            self.warm_start_attempts,
-            self.warm_hit_rate() * 100.0,
-            self.presolve_vars_fixed,
-            self.presolve_rows_removed,
-            self.presolve_bounds_tightened,
-            self.dp_fallbacks,
+            "{} nodes, {} LP solves, {} pivots, {} DP fallbacks",
+            self.bb_nodes, self.lp_solves, self.lp_pivots, self.dp_fallbacks,
         )
     }
 }
@@ -130,19 +81,13 @@ mod tests {
             bb_nodes: 1,
             lp_solves: 2,
             lp_pivots: 3,
-            warm_start_attempts: 4,
-            warm_start_hits: 2,
-            presolve_vars_fixed: 5,
-            presolve_rows_removed: 6,
-            presolve_bounds_tightened: 7,
             dp_fallbacks: 8,
         };
         a.merge(a);
         assert_eq!(a.bb_nodes, 2);
+        assert_eq!(a.lp_solves, 4);
         assert_eq!(a.lp_pivots, 6);
-        assert_eq!(a.presolve_bounds_tightened, 14);
         assert_eq!(a.dp_fallbacks, 16);
-        assert!((a.warm_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -169,13 +114,13 @@ mod tests {
     #[test]
     fn display_and_emptiness() {
         assert!(SolverStats::default().is_empty());
-        assert_eq!(SolverStats::default().warm_hit_rate(), 0.0);
         let s = SolverStats {
-            warm_start_attempts: 4,
-            warm_start_hits: 3,
+            lp_pivots: 4,
+            dp_fallbacks: 3,
             ..SolverStats::default()
         };
         assert!(!s.is_empty());
-        assert!(s.to_string().contains("3/4"));
+        assert!(s.to_string().contains("4 pivots"));
+        assert!(s.to_string().contains("3 DP fallbacks"));
     }
 }

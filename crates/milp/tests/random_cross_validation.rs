@@ -1,9 +1,12 @@
 //! Property tests cross-validating the MILP solver against brute-force
-//! enumeration, and the LP solver against random feasible points.
+//! enumeration, and the LP solver against random feasible points, plus
+//! fixed checks of the exact audit: it certifies a mixed problem and
+//! rejects a solution with one tampered value, and the simplex terminates
+//! on Beale's cycling LP.
 
 use proptest::prelude::*;
 
-use pmcs_milp::{Cmp, LinExpr, LpOutcome, Problem, Simplex, Solver};
+use pmcs_milp::{audit, Cmp, LinExpr, LpOutcome, Problem, Simplex, Solver};
 
 /// Builds a random binary program with non-negative constraint weights so
 /// the all-zero point is always feasible.
@@ -164,4 +167,89 @@ proptest! {
         };
         prop_assert!((lp.objective() - milp.objective()).abs() < 1e-6);
     }
+}
+
+/// `solve_audited` certifies the optimum of a fixed mixed problem
+/// (continuous, general-integer and binary variables, `≤` and `≥` rows).
+#[test]
+fn solve_audited_certifies_a_mixed_problem() {
+    let mut p = Problem::maximize();
+    let x = p.continuous("x", 0.0, 4.0);
+    let y = p.integer("y", 0.0, 6.0);
+    let b = p.binary("b");
+    p.constrain(x + 2.0 * y + 3.0 * b, Cmp::Le, 11.0);
+    p.constrain(x + y, Cmp::Ge, 2.0);
+    p.set_objective(3.0 * x + 2.0 * y + 1.0 * b);
+
+    let audited = Solver::new().solve_audited(&p).unwrap();
+    let sol = audited.solution().expect("problem is feasible");
+    assert!(
+        audited.report.certified(),
+        "audit not certified: {:?}",
+        audited.report.problems().collect::<Vec<_>>()
+    );
+    // x = 4, then 2y + 3b <= 7: y = 3 (obj 18) beats y = 2, b = 1 (obj 17).
+    assert!(
+        (sol.objective() - 18.0).abs() < 1e-6,
+        "obj={}",
+        sol.objective()
+    );
+}
+
+/// Negative test for the audit: a solution that differs from the true
+/// optimum in exactly one value (here x, pinned to 3 by its bounds, is
+/// reported as 0) must be rejected, even though its objective is
+/// consistent with its own values.
+#[test]
+fn tampered_solution_fails_the_audit() {
+    let mut p = Problem::maximize();
+    let x = p.continuous("x", 3.0, 3.0);
+    let y = p.continuous("y", 0.0, 10.0);
+    p.constrain(x + y, Cmp::Le, 8.0);
+    p.constrain(1.0 * y, Cmp::Le, 5.0);
+    p.set_objective(2.0 * x + y);
+
+    // Sanity: the untampered solve is certified.
+    let clean = Solver::new().solve(&p).unwrap();
+    assert!((clean.objective() - 11.0).abs() < 1e-6);
+    assert!(audit::audit_solution(&p, &clean).certified());
+
+    // The same solve with x forced to 0 yields the clean point with that
+    // one value changed.
+    let mut wrong_x = p.clone();
+    wrong_x.fix(x, 0.0);
+    let tampered = Solver::new().solve(&wrong_x).unwrap();
+    let changed: Vec<usize> = (0..p.num_vars())
+        .filter(|&i| (clean.values()[i] - tampered.values()[i]).abs() > 1e-9)
+        .collect();
+    assert_eq!(changed, vec![x.index()]);
+
+    let report = audit::audit_solution(&p, &tampered);
+    assert!(
+        report.failed(),
+        "audit must reject the tampered solution: {report:?}"
+    );
+}
+
+/// Beale's classical cycling LP terminates at the right optimum (Bland
+/// anti-cycling regression).
+#[test]
+fn beale_example_terminates() {
+    let mut p = Problem::minimize();
+    let x1 = p.continuous("x1", 0.0, f64::INFINITY);
+    let x2 = p.continuous("x2", 0.0, f64::INFINITY);
+    let x3 = p.continuous("x3", 0.0, f64::INFINITY);
+    let x4 = p.continuous("x4", 0.0, f64::INFINITY);
+    p.constrain(0.25 * x1 - 8.0 * x2 - 1.0 * x3 + 9.0 * x4, Cmp::Le, 0.0);
+    p.constrain(0.5 * x1 - 12.0 * x2 - 0.5 * x3 + 3.0 * x4, Cmp::Le, 0.0);
+    p.constrain(1.0 * x3, Cmp::Le, 1.0);
+    p.set_objective(-0.75 * x1 + 150.0 * x2 - 0.02 * x3 + 6.0 * x4);
+
+    let sol = Solver::new().solve(&p).unwrap();
+    assert!(sol.is_optimal());
+    assert!(
+        (sol.objective() + 0.77).abs() < 1e-6,
+        "obj={}",
+        sol.objective()
+    );
 }
