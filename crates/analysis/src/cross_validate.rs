@@ -1,22 +1,33 @@
-//! Simulation-vs-analysis cross-validation: a mass falsification harness
-//! for the analytical WCRT bounds.
+//! Simulation-vs-analysis cross-validation: the one falsification
+//! driver for the analytical WCRT bounds.
 //!
 //! The paper's protocol is defined operationally (rules R1–R6) while its
 //! guarantees are analytical (the WCRT bounds of Sections V–VI). This
-//! module closes the loop: for a task set and an analysis approach it
-//! simulates a family of adversarial release plans under the *simulating*
-//! policy of the same approach (looked up in [`pmcs_sim::Registry`]),
-//! validates every trace (Properties 1–4 plus R1–R6 conformance, where
-//! the trace has interval structure), and asserts
-//! `observed worst response ≤ analytical WCRT` for every task.
+//! module closes the loop with two pieces:
+//!
+//! * a [`Target`]: the set an [`ApproachReport`] actually bounded (its
+//!   final LS marking applied), the per-task bounds to check, and the
+//!   release and simulation horizons. [`Target::new`] is the one place
+//!   that turns a report into bounds.
+//! * one plan loop with two kernel modes. [`Target::validate`] runs the
+//!   *traced* kernel: every trace is checked against Properties 1–4 and
+//!   R1–R6 conformance (where it has interval structure) and the bounds,
+//!   and refutations quote a trace excerpt. Cross-validation uses it.
+//!   [`Target::stream`] runs the *streaming* kernel: no trace is kept,
+//!   every job response feeds a caller sink, and the bounds are checked.
+//!   Falsification campaigns use it.
+//!
+//! Both modes return a [`Validation`]: the [`Refutation`]s, one
+//! [`SimCounters`], the worst observed response of every task, and the
+//! deadline misses.
 //!
 //! **Semantics.** Any violation is a [`Refutation`]: a machine-readable
 //! record naming the approach, the plan (family + seed — fully
 //! reproducing the run), the task, the observed response, the violated
-//! bound and a trace excerpt. A refutation *refutes the analysis* (or the
-//! simulator — either way the stack is broken). A clean pass is
-//! **necessary, not sufficient**: simulation explores finitely many
-//! plans, analysis quantifies over all of them.
+//! bound and, in traced mode, a trace excerpt. A refutation *refutes the
+//! analysis* (or the simulator — either way the stack is broken). A clean
+//! pass is **necessary, not sufficient**: simulation explores finitely
+//! many plans, analysis quantifies over all of them.
 //!
 //! Bounds are only checked when the approach reports the set
 //! *schedulable*: for unschedulable sets the analytical per-task numbers
@@ -26,9 +37,9 @@
 use std::time::Instant;
 
 use pmcs_model::{CoreId, TaskId, TaskSet, Time};
+use pmcs_sim::kernel::{run_into, run_streaming};
 use pmcs_sim::{
-    check_conformance_ref, kernel::run_into, validate_trace_ref, ProtocolPolicy, ReleasePlan,
-    SimWorkspace, TraceRef,
+    check_conformance_ref, validate_trace_ref, ProtocolPolicy, ReleasePlan, SimWorkspace, TraceRef,
 };
 use pmcs_workload::{adversarial_plan_into, adversarial_specs, PlanSpec};
 
@@ -78,8 +89,8 @@ impl SimCounters {
 
 /// Per-worker reusable simulation scratch: a pooled [`SimWorkspace`]
 /// plus a release-plan buffer. Drivers that evaluate many plans hold one
-/// of these per worker thread and pass it to the `*_in` cross-validation
-/// entry points, so steady-state simulation allocates nothing.
+/// of these per worker thread and pass it to every plan loop, so
+/// steady-state simulation allocates nothing.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     /// Pooled kernel buffers.
@@ -145,7 +156,9 @@ pub struct Refutation {
     pub plan: PlanSpec,
     /// What went wrong.
     pub kind: RefutationKind,
-    /// A short excerpt of the offending trace region.
+    /// A short excerpt of the offending trace region (empty in streaming
+    /// mode, which keeps no trace; [`Display`](std::fmt::Display) then
+    /// omits it).
     pub excerpt: String,
 }
 
@@ -182,7 +195,11 @@ impl std::fmt::Display for Refutation {
                 " kind=bus-overrun core={core} task={task} demand={demand} observed={observed} bound={bound}"
             ),
         }?;
-        write!(f, " excerpt=[{}]", self.excerpt)
+        if self.excerpt.is_empty() {
+            Ok(())
+        } else {
+            write!(f, " excerpt=[{}]", self.excerpt)
+        }
     }
 }
 
@@ -195,162 +212,293 @@ pub fn plan_horizon(set: &TaskSet) -> Time {
         .filter_map(|t| t.arrival().min_inter_arrival())
         .max()
         .unwrap_or(Time::ZERO);
-    let total_wcet: i64 = set.iter().map(|t| t.wcet_serialized().as_ticks()).sum();
-    max_t * 3 + Time::from_ticks(2 * total_wcet)
+    max_t * 3 + slack(set)
 }
 
-/// The simulation horizon: the plan horizon plus enough tail for every
-/// released job of a schedulable set to complete (jobs cut by the
-/// horizon are skipped by `worst_response` — conservative, part of why a
-/// pass is necessary-not-sufficient).
-pub(crate) fn sim_horizon(set: &TaskSet) -> Time {
-    let max_d = set.iter().map(|t| t.deadline()).max().unwrap_or(Time::ZERO);
-    let total_wcet: i64 = set.iter().map(|t| t.wcet_serialized().as_ticks()).sum();
-    plan_horizon(set) + max_d + Time::from_ticks(2 * total_wcet)
+/// Twice the set's total serialized demand: the slack both horizons add.
+fn slack(set: &TaskSet) -> Time {
+    let demand: i64 = set.iter().map(|t| t.wcet_serialized().as_ticks()).sum();
+    Time::from_ticks(2 * demand)
 }
 
 /// A compact excerpt of the trace around a task's worst-response job
 /// (or the trace tail when no task is singled out).
 fn trace_excerpt(result: TraceRef<'_>, task: Option<TaskId>) -> String {
-    let events: Vec<String> = match task {
-        Some(task) => result
-            .events()
-            .iter()
-            .filter(|e| e.job.task() == task)
-            .map(|e| e.to_string())
-            .collect(),
-        None => result.events().iter().map(|e| e.to_string()).collect(),
-    };
+    let events: Vec<String> = result
+        .events()
+        .iter()
+        .filter(|e| task.is_none_or(|t| e.job.task() == t))
+        .map(|e| e.to_string())
+        .collect();
     let tail = events.len().saturating_sub(6);
     events[tail..].join("; ")
 }
 
-/// The innermost driver: simulates each plan spec under `policy` and
-/// checks the supplied `(task, bound)` pairs directly.
-///
-/// This is the layer negative tests target: hand it a deliberately
-/// weakened bound (analytical WCRT minus one tick) and it must produce a
-/// [`RefutationKind::BoundExceeded`] naming the task, plan seed and
-/// observed response.
-pub fn cross_validate_bounds(
-    set: &TaskSet,
-    policy: &dyn ProtocolPolicy,
-    bounds: &[(TaskId, Time)],
-    specs: &[PlanSpec],
-    approach: &str,
-) -> (SimCounters, Vec<Refutation>) {
-    cross_validate_bounds_in(set, policy, bounds, specs, approach, &mut SimScratch::new())
+/// What one plan loop falsifies: a set, one optional bound per task of
+/// it, and the approach name refutations carry. Both horizons derive from
+/// the set: plans release jobs up to [`plan_horizon`], and the simulation
+/// runs long enough past it for every released job of a schedulable set
+/// to complete (jobs cut by the horizon have no response — conservative,
+/// part of why a pass is necessary-not-sufficient).
+#[derive(Debug, Clone)]
+pub struct Target {
+    approach: String,
+    set: TaskSet,
+    bounds: Vec<Option<Time>>,
+    release_horizon: Time,
+    horizon: Time,
 }
 
-/// [`cross_validate_bounds`] against a caller-owned [`SimScratch`] —
-/// the zero-allocation path drivers thread one scratch per worker
-/// through. Results are identical to the allocating wrapper.
-pub fn cross_validate_bounds_in(
-    set: &TaskSet,
-    policy: &dyn ProtocolPolicy,
-    bounds: &[(TaskId, Time)],
-    specs: &[PlanSpec],
-    approach: &str,
-    scratch: &mut SimScratch,
-) -> (SimCounters, Vec<Refutation>) {
-    let started = Instant::now();
-    let reuses_before = scratch.ws.reuses();
-    let mut counters = SimCounters::default();
-    let mut refutations = Vec::new();
-    let release_horizon = plan_horizon(set);
-    let horizon = sim_horizon(set);
-
-    for &spec in specs {
-        adversarial_plan_into(set, release_horizon, spec, &mut scratch.plan);
-        let result = run_into(set, &scratch.plan, policy, horizon, &mut scratch.ws);
-        counters.plans_run += 1;
-
-        if policy.interval_structured() {
-            let violations = validate_trace_ref(set, result, policy.ls_rules());
-            if !violations.is_empty() {
-                refutations.push(Refutation {
-                    approach: approach.to_string(),
-                    plan: spec,
-                    kind: RefutationKind::InvalidTrace {
-                        violations: violations
-                            .iter()
-                            .map(|v| v.to_string())
-                            .collect::<Vec<_>>()
-                            .join("; "),
-                    },
-                    excerpt: trace_excerpt(result, None),
-                });
+impl Target {
+    /// The target of `report`: `set` under the report's final LS marking
+    /// (the proposed analysis chooses sensitivities; the simulator must
+    /// run the set the analysis actually bounded), with the report's WCRT
+    /// bounds kept only when it says *schedulable* (see the module docs
+    /// for why unschedulable bounds are not operational).
+    ///
+    /// # Errors
+    ///
+    /// Returns a model error if the report's sensitivity marking
+    /// references tasks absent from `set`.
+    pub fn new(set: &TaskSet, report: &ApproachReport) -> Result<Self, AnalysisError> {
+        let mut marked = set.clone();
+        for t in &report.tasks {
+            if let Some(s) = t.sensitivity {
+                marked = marked
+                    .with_sensitivity(t.task, s)
+                    .map_err(|e| AnalysisError::Core(pmcs_core::CoreError::Model(e)))?;
             }
-            let conformance = check_conformance_ref(set, result, policy.ls_rules());
-            if conformance.applicable && !conformance.is_conformant() {
-                refutations.push(Refutation {
-                    approach: approach.to_string(),
-                    plan: spec,
-                    kind: RefutationKind::NonConformant {
-                        diagnostics: conformance
-                            .diagnostics
-                            .iter()
-                            .map(|d| d.to_string())
-                            .collect::<Vec<_>>()
-                            .join("; "),
-                    },
-                    excerpt: trace_excerpt(result, None),
-                });
-            }
-            counters.traces_validated += 1;
         }
+        let mut target = Target::unchecked(&report.approach, marked);
+        if report.schedulable() {
+            for (bound, task) in target.bounds.iter_mut().zip(target.set.iter()) {
+                *bound = report.verdict(task.id()).map(|t| t.wcrt);
+            }
+        }
+        Ok(target)
+    }
 
-        for &(task, bound) in bounds {
-            if let Some(observed) = result.worst_response(task) {
-                if observed > bound {
-                    refutations.push(Refutation {
-                        approach: approach.to_string(),
-                        plan: spec,
-                        kind: RefutationKind::BoundExceeded {
-                            task,
-                            observed,
-                            bound,
-                        },
-                        excerpt: trace_excerpt(result, Some(task)),
-                    });
+    /// A target that checks no bound: plans are still simulated (and, in
+    /// traced mode, their traces validated).
+    pub fn unchecked(approach: &str, set: TaskSet) -> Self {
+        let release_horizon = plan_horizon(&set);
+        let max_d = set.iter().map(|t| t.deadline()).max().unwrap_or(Time::ZERO);
+        Target {
+            approach: approach.to_string(),
+            bounds: vec![None; set.len()],
+            release_horizon,
+            horizon: release_horizon + max_d + slack(&set),
+            set,
+        }
+    }
+
+    /// The same target checking hand-picked `bounds` (e.g. deliberately
+    /// weakened ones), by task index of the set.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bounds` holds exactly one entry per task.
+    #[must_use]
+    pub fn with_bounds(self, bounds: Vec<Option<Time>>) -> Self {
+        assert_eq!(bounds.len(), self.set.len(), "one bound per task");
+        Target { bounds, ..self }
+    }
+
+    /// Approach name the refutations carry.
+    pub fn approach(&self) -> &str {
+        &self.approach
+    }
+
+    /// The set the simulator runs.
+    pub fn set(&self) -> &TaskSet {
+        &self.set
+    }
+
+    /// Per-task bound by task index of the set; `None` is not checked.
+    pub fn bounds(&self) -> &[Option<Time>] {
+        &self.bounds
+    }
+
+    /// Horizon within which plans release jobs.
+    pub fn release_horizon(&self) -> Time {
+        self.release_horizon
+    }
+
+    /// Simulation horizon.
+    pub fn horizon(&self) -> Time {
+        self.horizon
+    }
+
+    /// Traced mode: simulates every plan of `specs` under `policy`,
+    /// checks each trace against Properties 1–4 and R1–R6 conformance
+    /// (when the policy has interval structure) and every bound, and
+    /// quotes a trace excerpt in each refutation. On return `scratch.ws`
+    /// still holds the trace of the last plan.
+    pub fn validate(
+        &self,
+        policy: &dyn ProtocolPolicy,
+        specs: impl IntoIterator<Item = PlanSpec>,
+        scratch: &mut SimScratch,
+    ) -> Validation {
+        let tasks = self.set.tasks();
+        let mut plan_worst = vec![None; tasks.len()];
+        self.plan_loop(specs, scratch, |scratch, spec, out| {
+            let trace = run_into(
+                &self.set,
+                &scratch.plan,
+                policy,
+                self.horizon,
+                &mut scratch.ws,
+            );
+            if policy.interval_structured() {
+                let violations = validate_trace_ref(&self.set, trace, policy.ls_rules());
+                if !violations.is_empty() {
+                    let violations = join(violations.iter());
+                    let kind = RefutationKind::InvalidTrace { violations };
+                    out.refute(self, spec, kind, trace_excerpt(trace, None));
                 }
+                let conformance = check_conformance_ref(&self.set, trace, policy.ls_rules());
+                if conformance.applicable && !conformance.is_conformant() {
+                    let diagnostics = join(conformance.diagnostics.iter());
+                    let kind = RefutationKind::NonConformant { diagnostics };
+                    out.refute(self, spec, kind, trace_excerpt(trace, None));
+                }
+                out.counters.traces_validated += 1;
+            }
+            // One pass over the jobs: a scan per task took a quarter of
+            // the traced loop's time.
+            plan_worst.fill(None);
+            for job in trace.jobs() {
+                let Some(response) = job.response() else {
+                    continue;
+                };
+                out.misses += u64::from(job.completion > Some(job.absolute_deadline));
+                if let Some(ti) = tasks.iter().position(|t| t.id() == job.job.task()) {
+                    plan_worst[ti] = plan_worst[ti].max(Some(response));
+                }
+            }
+            for (ti, task) in tasks.iter().enumerate() {
+                out.observe(self, spec, ti, plan_worst[ti], || {
+                    trace_excerpt(trace, Some(task.id()))
+                });
+            }
+        })
+    }
+
+    /// Streaming mode: simulates every plan of `specs` under `policy`
+    /// without keeping a trace, hands every completed job's `(task index,
+    /// response)` to `sink`, and checks every bound. Refutations carry no
+    /// excerpt.
+    pub fn stream<F: FnMut(usize, Time)>(
+        &self,
+        policy: &dyn ProtocolPolicy,
+        specs: impl IntoIterator<Item = PlanSpec>,
+        scratch: &mut SimScratch,
+        mut sink: F,
+    ) -> Validation {
+        self.plan_loop(specs, scratch, |scratch, spec, out| {
+            let stats = run_streaming(
+                &self.set,
+                &scratch.plan,
+                policy,
+                self.horizon,
+                &mut scratch.ws,
+                &mut sink,
+            );
+            out.misses += stats.total_misses();
+            for ti in 0..self.set.len() {
+                out.observe(self, spec, ti, stats.worst_response(ti), String::new);
+            }
+        })
+    }
+
+    /// The plan loop both modes share: fills the pooled plan buffer for
+    /// each spec, lets `check` simulate and check it, and counts.
+    fn plan_loop(
+        &self,
+        specs: impl IntoIterator<Item = PlanSpec>,
+        scratch: &mut SimScratch,
+        mut check: impl FnMut(&mut SimScratch, PlanSpec, &mut Validation),
+    ) -> Validation {
+        let started = Instant::now();
+        let reuses_before = scratch.ws.reuses();
+        let mut out = Validation {
+            worst: vec![None; self.set.len()],
+            ..Validation::default()
+        };
+        for spec in specs {
+            adversarial_plan_into(&self.set, self.release_horizon, spec, &mut scratch.plan);
+            check(scratch, spec, &mut out);
+            out.counters.plans_run += 1;
+        }
+        out.counters.refutations = out.refutations.len() as u64;
+        out.counters.sim_secs = started.elapsed().as_secs_f64();
+        out.counters.ws_reused = scratch.ws.reuses() - reuses_before;
+        out
+    }
+}
+
+fn join<T: ToString>(items: impl Iterator<Item = T>) -> String {
+    items.map(|i| i.to_string()).collect::<Vec<_>>().join("; ")
+}
+
+/// What one plan loop observed.
+#[derive(Debug, Clone, Default)]
+pub struct Validation {
+    /// Simulation counters of the loop.
+    pub counters: SimCounters,
+    /// Refutations, in plan order.
+    pub refutations: Vec<Refutation>,
+    /// Worst observed response per task, by task index of the target's
+    /// set (`None` for a task no job of which completed).
+    pub worst: Vec<Option<Time>>,
+    /// Completed jobs that finished after their deadline (counted, never
+    /// hidden: a miss alone refutes nothing).
+    pub misses: u64,
+}
+
+impl Validation {
+    /// Folds one plan's worst response of task `ti` in and checks it
+    /// against the target's bound.
+    fn observe(
+        &mut self,
+        target: &Target,
+        spec: PlanSpec,
+        ti: usize,
+        observed: Option<Time>,
+        excerpt: impl FnOnce() -> String,
+    ) {
+        self.worst[ti] = self.worst[ti].max(observed);
+        if let (Some(observed), Some(bound)) = (observed, target.bounds[ti]) {
+            if observed > bound {
+                let task = target.set.tasks()[ti].id();
+                let kind = RefutationKind::BoundExceeded {
+                    task,
+                    observed,
+                    bound,
+                };
+                self.refute(target, spec, kind, excerpt());
             }
         }
     }
 
-    counters.refutations = refutations.len() as u64;
-    counters.sim_secs = started.elapsed().as_secs_f64();
-    counters.ws_reused = scratch.ws.reuses() - reuses_before;
-    (counters, refutations)
+    fn refute(&mut self, target: &Target, spec: PlanSpec, kind: RefutationKind, excerpt: String) {
+        let approach = target.approach.clone();
+        self.refutations.push(Refutation {
+            approach,
+            plan: spec,
+            kind,
+            excerpt,
+        });
+    }
 }
 
-/// Cross-validates an [`ApproachReport`] against simulation.
-///
-/// Applies the report's final LS marking to the set (the proposed
-/// analysis chooses sensitivities; the simulator must run the set the
-/// analysis actually bounded), always validates traces, and checks WCRT
-/// bounds only when the report says *schedulable* (see the module docs
-/// for why unschedulable bounds are not operational).
+/// Cross-validates one report against `policy` in traced mode (see
+/// [`Target::new`] and [`Target::validate`]).
 ///
 /// # Errors
 ///
-/// Returns a model error if the report's sensitivity marking references
-/// tasks absent from `set`.
-pub fn cross_validate_report(
-    set: &TaskSet,
-    policy: &dyn ProtocolPolicy,
-    report: &ApproachReport,
-    specs: &[PlanSpec],
-) -> Result<(SimCounters, Vec<Refutation>), AnalysisError> {
-    cross_validate_report_in(set, policy, report, specs, &mut SimScratch::new())
-}
-
-/// [`cross_validate_report`] against a caller-owned [`SimScratch`] (see
-/// [`cross_validate_bounds_in`]).
-///
-/// # Errors
-///
-/// Same conditions as [`cross_validate_report`].
+/// Same conditions as [`Target::new`].
 pub fn cross_validate_report_in(
     set: &TaskSet,
     policy: &dyn ProtocolPolicy,
@@ -358,27 +506,38 @@ pub fn cross_validate_report_in(
     specs: &[PlanSpec],
     scratch: &mut SimScratch,
 ) -> Result<(SimCounters, Vec<Refutation>), AnalysisError> {
-    let mut marked = set.clone();
-    for task in &report.tasks {
-        if let Some(s) = task.sensitivity {
-            marked = marked
-                .with_sensitivity(task.task, s)
-                .map_err(|e| AnalysisError::Core(pmcs_core::CoreError::Model(e)))?;
-        }
+    let run = Target::new(set, report)?.validate(policy, specs.iter().copied(), scratch);
+    Ok((run.counters, run.refutations))
+}
+
+/// Cross-validates every report of one task set in traced mode under the
+/// simulating policy of the same name; a report with no such policy is
+/// skipped, and so is a `None` entry (a failed analysis). The `i`-th
+/// entry is simulated under the plans `specs(i)`. Counters are merged and
+/// refutations listed in entry order.
+///
+/// # Errors
+///
+/// Same conditions as [`Target::new`].
+pub fn cross_validate_reports<'r>(
+    set: &TaskSet,
+    reports: impl IntoIterator<Item = Option<&'r ApproachReport>>,
+    mut specs: impl FnMut(usize) -> Vec<PlanSpec>,
+    scratch: &mut SimScratch,
+) -> Result<(SimCounters, Vec<Refutation>), AnalysisError> {
+    let sims = pmcs_sim::Registry::standard();
+    let mut counters = SimCounters::default();
+    let mut refutations = Vec::new();
+    for (i, report) in reports.into_iter().enumerate() {
+        let Some(report) = report else { continue };
+        let Some(policy) = sims.get(&report.approach) else {
+            continue;
+        };
+        let run = Target::new(set, report)?.validate(policy, specs(i), scratch);
+        counters.merge(&run.counters);
+        refutations.extend(run.refutations);
     }
-    let bounds: Vec<(TaskId, Time)> = if report.schedulable() {
-        report.tasks.iter().map(|t| (t.task, t.wcrt)).collect()
-    } else {
-        Vec::new()
-    };
-    Ok(cross_validate_bounds_in(
-        &marked,
-        policy,
-        &bounds,
-        specs,
-        &report.approach,
-        scratch,
-    ))
+    Ok((counters, refutations))
 }
 
 /// The one-call convenience: analyzes `set` under the named approach,
@@ -396,7 +555,7 @@ pub fn cross_validate(
     plans: usize,
     base_seed: u64,
     ctx: &AnalysisContext,
-) -> Result<(ApproachReport, SimCounters, Vec<Refutation>), AnalysisError> {
+) -> Result<(ApproachReport, Validation), AnalysisError> {
     let analyzers = Registry::standard();
     let analyzer = analyzers.require(approach)?;
     let sims = pmcs_sim::Registry::standard();
@@ -404,9 +563,12 @@ pub fn cross_validate(
         .get(approach)
         .ok_or_else(|| AnalysisError::UnknownApproach(approach.to_string()))?;
     let report = analyzer.analyze_with(set, ctx)?;
-    let specs = adversarial_specs(plans, base_seed);
-    let (counters, refutations) = cross_validate_report(set, policy, &report, &specs)?;
-    Ok((report, counters, refutations))
+    let run = Target::new(set, &report)?.validate(
+        policy,
+        adversarial_specs(plans, base_seed),
+        &mut SimScratch::new(),
+    );
+    Ok((report, run))
 }
 
 #[cfg(test)]
@@ -423,19 +585,34 @@ mod tests {
         .expect("valid test task set")
     }
 
+    /// A target over `set` checking one bound on task index 0.
+    fn bounded(approach: &str, set: TaskSet, bound: Time) -> Target {
+        let bounds = (0..set.len()).map(|ti| (ti == 0).then_some(bound));
+        Target::unchecked(approach, set).with_bounds(bounds.collect())
+    }
+
+    fn traced(target: &Target, policy: &dyn ProtocolPolicy, specs: &[PlanSpec]) -> Validation {
+        target.validate(policy, specs.iter().copied(), &mut SimScratch::new())
+    }
+
     #[test]
     fn clean_set_produces_no_refutations_for_all_approaches() {
         let set = two_task_set();
         let ctx = AnalysisContext::new(&AnalysisConfig::default());
         for approach in ["proposed", "wp", "nps", "nps-classic"] {
-            let (report, counters, refutations) =
+            let (report, run) =
                 cross_validate(&set, approach, 6, 42, &ctx).expect("cross-validation runs");
             assert!(report.schedulable(), "{approach}: demo set is schedulable");
-            assert_eq!(counters.plans_run, 6, "{approach}");
+            assert_eq!(run.counters.plans_run, 6, "{approach}");
             assert!(
-                refutations.is_empty(),
-                "{approach}: unexpected refutations: {refutations:?}"
+                run.refutations.is_empty(),
+                "{approach}: unexpected refutations: {:?}",
+                run.refutations
             );
+            assert!(run.worst.iter().all(Option::is_some), "{approach}");
+            for (task, worst) in report.tasks.iter().zip(&run.worst) {
+                assert!(worst.is_some_and(|w| w <= task.wcrt), "{approach}");
+            }
         }
     }
 
@@ -448,15 +625,15 @@ mod tests {
         let specs = adversarial_specs(3, 7);
         let tight = Time::from_ticks(14);
         let weakened = tight - Time::TICK;
-        let (counters, refutations) = cross_validate_bounds(
-            &set,
-            &pmcs_sim::policy::Proposed,
-            &[(TaskId(0), weakened)],
-            &specs,
-            "proposed",
+        let policy = &pmcs_sim::policy::Proposed;
+        let run = traced(&bounded("proposed", set.clone(), weakened), policy, &specs);
+        assert!(
+            run.counters.refutations > 0,
+            "weakened bound must be refuted"
         );
-        assert!(counters.refutations > 0, "weakened bound must be refuted");
-        let r = refutations
+        assert_eq!(run.worst, vec![Some(tight)]);
+        let r = run
+            .refutations
             .iter()
             .find(|r| {
                 matches!(
@@ -472,15 +649,14 @@ mod tests {
         assert!(line.contains("seed="), "{line}");
         assert!(line.contains("task=τ0"), "{line}");
         assert!(line.contains("observed=14"), "{line}");
+        assert!(line.contains(" excerpt=["), "{line}");
         // The tight bound itself passes.
-        let (_, ok) = cross_validate_bounds(
-            &set,
-            &pmcs_sim::policy::Proposed,
-            &[(TaskId(0), tight)],
-            &specs,
-            "proposed",
+        let ok = traced(&bounded("proposed", set, tight), policy, &specs);
+        assert!(
+            ok.refutations.is_empty(),
+            "tight bound must not be refuted: {:?}",
+            ok.refutations
         );
-        assert!(ok.is_empty(), "tight bound must not be refuted: {ok:?}");
     }
 
     #[test]
@@ -495,26 +671,17 @@ mod tests {
         ])
         .expect("valid test task set");
         let specs = adversarial_specs(6, 11);
-        let (_, refuted) = cross_validate_bounds(
-            &set,
-            &pmcs_sim::policy::Nps,
-            &[(TaskId(0), Time::from_ticks(72))],
-            &specs,
-            "nps-classic",
-        );
+        let policy = &pmcs_sim::policy::Nps;
+        let weakened = bounded("nps-classic", set.clone(), Time::from_ticks(72));
+        let refuted = traced(&weakened, policy, &specs).refutations;
         assert!(
             refuted
                 .iter()
                 .any(|r| matches!(r.kind, RefutationKind::BoundExceeded { task, .. } if task == TaskId(0))),
             "weakened NPS bound must be refuted: {refuted:?}"
         );
-        let (_, ok) = cross_validate_bounds(
-            &set,
-            &pmcs_sim::policy::Nps,
-            &[(TaskId(0), Time::from_ticks(73))],
-            &specs,
-            "nps-classic",
-        );
+        let classic = bounded("nps-classic", set, Time::from_ticks(73));
+        let ok = traced(&classic, policy, &specs).refutations;
         assert!(ok.is_empty(), "classic bound holds: {ok:?}");
     }
 
@@ -531,12 +698,90 @@ mod tests {
             t.wcrt = Time::ZERO;
             t.schedulable = false;
         }
+        let target = Target::new(&set, &report).expect("report tasks are in the set");
+        assert_eq!(target.bounds(), [None, None]);
+        let short = std::panic::catch_unwind(|| target.clone().with_bounds(vec![None]));
+        assert!(short.is_err(), "bounds must cover every task of the set");
         let specs = adversarial_specs(3, 5);
-        let (counters, refutations) =
-            cross_validate_report(&set, &pmcs_sim::policy::WaslyPellizzoni, &report, &specs)
-                .expect("cross-validation runs");
+        let run = traced(&target, &pmcs_sim::policy::WaslyPellizzoni, &specs);
+        assert!(run.refutations.is_empty(), "{:?}", run.refutations);
+        assert_eq!(run.counters.traces_validated, 3);
+    }
+
+    #[test]
+    fn both_modes_refute_the_same_tuples_in_one_format() {
+        // τ0's bound weakened to one tick below its observed worst
+        // response: the streaming and the traced loop must refute the
+        // same (approach, seed, task, observed, bound) tuples.
+        let set = two_task_set();
+        let specs = adversarial_specs(8, 0x0f0f);
+        let policy = &pmcs_sim::policy::Proposed;
+        let probe = traced(&Target::unchecked("proposed", set.clone()), policy, &specs);
+        let weakened = probe.worst[0].expect("τ0 completes") - Time::TICK;
+        let target = bounded("proposed", set, weakened);
+        let from_trace = traced(&target, policy, &specs);
+        let streamed = target.stream(
+            policy,
+            specs.iter().copied(),
+            &mut SimScratch::new(),
+            |_, _| {},
+        );
+        assert_eq!(streamed.worst, probe.worst);
+        assert_eq!(from_trace.worst, probe.worst);
+        assert_eq!(streamed.misses, from_trace.misses);
+        assert_eq!(streamed.counters.plans_run, 8);
+        assert_eq!(streamed.counters.traces_validated, 0);
+        assert_eq!(from_trace.counters.traces_validated, 8);
+
+        // The campaign's refutation line, as it was written by hand.
+        let lines = |run: &Validation| -> Vec<String> {
+            let line = |r: &Refutation| match r.kind {
+                RefutationKind::BoundExceeded {
+                    task,
+                    observed,
+                    bound,
+                } => format!(
+                    "REFUTATION approach={} plan={} kind=bound-exceeded \
+                     task={task} observed={observed} bound={bound}",
+                    r.approach, r.plan
+                ),
+                ref other => panic!("unexpected refutation {other:?}"),
+            };
+            run.refutations.iter().map(line).collect()
+        };
+        let expected = lines(&streamed);
+        assert!(!expected.is_empty());
+        assert_eq!(lines(&from_trace), expected);
+        let rendered: Vec<String> = streamed.refutations.iter().map(|r| r.to_string()).collect();
+        assert_eq!(rendered, expected, "an empty excerpt is omitted");
+        for (r, line) in from_trace.refutations.iter().zip(&expected) {
+            assert_eq!(r.to_string(), format!("{line} excerpt=[{}]", r.excerpt));
+        }
+    }
+
+    #[test]
+    fn reports_driver_skips_failed_analyses_and_unsimulated_approaches() {
+        let set = two_task_set();
+        let ctx = AnalysisContext::new(&AnalysisConfig::default());
+        let registry = Registry::standard();
+        let proposed = registry.require("proposed").expect("registered");
+        let report = proposed.analyze_with(&set, &ctx).expect("analysis runs");
+        let mut unsimulated = report.clone();
+        unsimulated.approach = "wp-milp".to_string();
+        let mut asked = Vec::new();
+        let (counters, refutations) = cross_validate_reports(
+            &set,
+            [Some(&report), None, Some(&unsimulated)],
+            |i| {
+                asked.push(i);
+                adversarial_specs(2, i as u64)
+            },
+            &mut SimScratch::new(),
+        )
+        .expect("cross-validation runs");
+        assert_eq!(asked, [0]);
+        assert_eq!(counters.plans_run, 2);
         assert!(refutations.is_empty(), "{refutations:?}");
-        assert_eq!(counters.traces_validated, 3);
     }
 
     #[test]

@@ -24,6 +24,13 @@
 //!                                   ApproachReport
 //! ```
 //!
+//! Reports are falsified by one driver, [`mod@cross_validate`]: a
+//! [`Target`] (a report's LS-marked set, bounds and horizons) run
+//! through one plan loop, traced ([`Target::validate`]) for
+//! cross-validation or streaming ([`Target::stream`]) for campaigns.
+//! [`multicore`] lifts both analysis and falsification to a regulated
+//! shared bus.
+//!
 //! # Example
 //!
 //! ```
@@ -61,14 +68,14 @@ pub use analyzer::{AnalysisContext, Analyzer};
 pub use approaches::{NpsAnalyzer, ProposedAnalyzer, WpAnalyzer, WpMilpAnalyzer};
 pub use config::AnalysisConfig;
 pub use cross_validate::{
-    cross_validate, cross_validate_bounds, cross_validate_bounds_in, cross_validate_report,
-    cross_validate_report_in, plan_horizon, Refutation, RefutationKind, SimCounters, SimScratch,
+    cross_validate, cross_validate_report_in, cross_validate_reports, plan_horizon, Refutation,
+    RefutationKind, SimCounters, SimScratch, Target, Validation,
 };
 pub use engine_stack::{milp_engine, AuditedEngine, EngineStack, StackEngine};
 pub use error::AnalysisError;
 pub use multicore::{
-    cross_validate_platform, extract_transfers, extract_transfers_into, refute_bus_bounds,
-    ContentionAware, CoreValidation, PlatformValidation,
+    cross_validate_platform, extract_transfers_into, refute_bus_bounds, ContentionAware,
+    CoreValidation, PlatformValidation,
 };
 pub use registry::Registry;
 pub use report::{ApproachReport, TaskReport};

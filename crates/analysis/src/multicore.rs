@@ -11,17 +11,18 @@
 //!   the identity transform (contention-free bus, `M = 1`) it is fully
 //!   transparent: same name, byte-identical report.
 //! * [`cross_validate_platform`] — the multi-core falsification
-//!   harness, two layers deep:
+//!   harness, two layers deep over one simulation per (core, plan):
 //!
 //!   1. **Per-core layer.** Every core's *inflated* set is analyzed and
-//!      cross-validated exactly like a single-core set (same adversarial
-//!      plans, trace validation, and `observed response ≤ WCRT` checks
-//!      via [`cross_validate_report`](crate::cross_validate_report)). This is sound for the platform
-//!      *if* every DMA interval of the inflated set really over-covers
-//!      the shared-bus service time of the original transfer.
+//!      checked exactly like a single-core set: same adversarial plans,
+//!      trace validation, and `observed response ≤ WCRT` checks, through
+//!      the traced plan loop ([`Target::validate`]). This is sound for
+//!      the platform *if* every DMA interval of the inflated set really
+//!      over-covers the shared-bus service time of the original transfer.
 //!   2. **Bus layer.** That "if" is itself falsified: the DMA request
-//!      streams of all cores are extracted from the per-core traces,
-//!      replayed *coupled* through the hard-regulation arbiter
+//!      streams of all cores are taken from the traces the per-core
+//!      layer just produced (no core is simulated twice), replayed
+//!      *coupled* through the hard-regulation arbiter
 //!      ([`pmcs_sim::bus::arbitrate`]), and every transfer's observed
 //!      service time is checked against the analytical inflation
 //!      `inflate(d)`. Any overrun is a [`RefutationKind::BusOverrun`].
@@ -37,14 +38,11 @@ use std::time::Instant;
 use pmcs_core::contention::Inflation;
 use pmcs_model::{BusModel, CoreId, Phase, Platform, TaskSet, Time};
 use pmcs_sim::bus::{arbitrate, TransferReq};
-use pmcs_sim::{kernel::run_into, SimResult, TraceRef, TraceUnit};
-use pmcs_workload::{adversarial_plan_into, adversarial_specs, PlanSpec};
+use pmcs_sim::{TraceRef, TraceUnit};
+use pmcs_workload::{adversarial_specs, PlanSpec};
 
 use crate::analyzer::{AnalysisContext, Analyzer};
-use crate::cross_validate::{
-    cross_validate_report_in, plan_horizon, sim_horizon, Refutation, RefutationKind, SimCounters,
-    SimScratch,
-};
+use crate::cross_validate::{Refutation, RefutationKind, SimCounters, SimScratch, Target};
 use crate::error::AnalysisError;
 use crate::registry::Registry;
 use crate::report::ApproachReport;
@@ -147,8 +145,9 @@ pub struct CoreValidation {
 pub struct PlatformValidation {
     /// One entry per platform core, in core order.
     pub cores: Vec<CoreValidation>,
-    /// Counters of the bus-layer replay (one "plan" per simulated
-    /// per-core trace fed into the arbiter).
+    /// Counters of the bus-layer replay: its refutations and the seconds
+    /// spent arbitrating. Its transfers come from the per-core traces, so
+    /// it simulates nothing and `plans_run` stays 0.
     pub bus_counters: SimCounters,
     /// Bus-layer refutations ([`RefutationKind::BusOverrun`]).
     pub bus_refutations: Vec<Refutation>,
@@ -186,19 +185,12 @@ impl PlatformValidation {
     }
 }
 
-/// Extracts the DMA request stream core `core` issues in `result` (a
-/// trace of the core's *inflated* set): one request per completed DMA
-/// event, released when the event started, demanding the **original**
-/// (uninflated) copy bound of its task from `original`. Canceled
-/// events and zero-demand copies issue no bus transfer.
-pub fn extract_transfers(core: CoreId, original: &TaskSet, result: &SimResult) -> Vec<TransferReq> {
-    let mut out = Vec::new();
-    extract_transfers_into(core, original, result.as_trace(), &mut out);
-    out
-}
-
-/// [`extract_transfers`] over a borrowed trace view, appending into a
-/// caller-owned (pooled) request buffer.
+/// Appends the DMA request stream core `core` issues in `result` (a
+/// trace of the core's *inflated* set) to a caller-owned request
+/// buffer: one request per completed DMA event, released when the event
+/// started, demanding the **original** (uninflated) copy bound of its
+/// task from `original`. Canceled events and zero-demand copies issue
+/// no bus transfer.
 pub fn extract_transfers_into(
     core: CoreId,
     original: &TaskSet,
@@ -278,7 +270,9 @@ pub fn refute_bus_bounds(
 /// per-core analysis and cross-validation of the inflated sets, plus a
 /// coupled replay of all cores' DMA streams through the regulated-bus
 /// arbiter checking every transfer's service time against the
-/// analytical inflation (see the module docs for the two layers).
+/// analytical inflation (see the module docs for the two layers). Plans
+/// are the outer loop and cores the inner one, so each plan's per-core
+/// traces feed that plan's bus replay directly.
 ///
 /// On a bus that cannot contend the bus layer is skipped (there is
 /// nothing to arbitrate) and the result reduces to independent per-core
@@ -301,80 +295,57 @@ pub fn cross_validate_platform(
     let policy = sims
         .get(approach)
         .ok_or_else(|| AnalysisError::UnknownApproach(approach.to_string()))?;
-    let specs = adversarial_specs(plans, base_seed);
     let bus = platform.bus();
-    // One reusable workspace + plan buffer for every simulation this
-    // validation performs (both layers).
-    let mut scratch = SimScratch::new();
 
-    // Layer 1: per-core analysis + cross-validation on the inflated sets.
+    // Per-core analysis of the inflated sets.
     let mut cores = Vec::with_capacity(platform.num_cores());
+    let mut targets = Vec::with_capacity(platform.num_cores());
     for (core, set) in platform.iter() {
         let inflation = Inflation::for_core(bus, core);
         let inflated = inflation.inflate_set(set).map_err(AnalysisError::Core)?;
         let report = analyzer.analyze_with(&inflated, ctx)?;
-        let (counters, refutations) =
-            cross_validate_report_in(&inflated, policy, &report, &specs, &mut scratch)?;
+        targets.push(Target::new(&inflated, &report)?);
         cores.push(CoreValidation {
             core,
             inflation,
             report,
-            counters,
-            refutations,
+            counters: SimCounters::default(),
+            refutations: Vec::new(),
         });
     }
 
-    // Layer 2: coupled bus replay of all cores' DMA streams.
+    // One simulation per (plan, core): the per-core check, whose trace
+    // then yields the core's DMA requests for the plan's bus replay.
+    let mut scratch = SimScratch::new();
     let mut bus_counters = SimCounters::default();
     let mut bus_refutations = Vec::new();
     let mut transfers_checked = 0u64;
-    if bus.is_contended() {
-        let started = Instant::now();
-        // The simulator must run the marked sets the analysis bounded.
-        let mut marked = Vec::with_capacity(cores.len());
-        for cv in &cores {
-            let set = platform.core(cv.core).expect("iterated core exists");
-            let mut inflated = cv.inflation.inflate_set(set).map_err(AnalysisError::Core)?;
-            for t in &cv.report.tasks {
-                if let Some(s) = t.sensitivity {
-                    inflated = inflated
-                        .with_sensitivity(t.task, s)
-                        .map_err(|e| AnalysisError::Core(pmcs_core::CoreError::Model(e)))?;
-                }
-            }
-            marked.push(inflated);
-        }
-        let reuses_before = scratch.ws.reuses();
-        let mut requests = Vec::new();
-        for &spec in &specs {
-            requests.clear();
-            for (cv, inflated) in cores.iter().zip(&marked) {
-                adversarial_plan_into(inflated, plan_horizon(inflated), spec, &mut scratch.plan);
-                let result = run_into(
-                    inflated,
-                    &scratch.plan,
-                    policy,
-                    sim_horizon(inflated),
-                    &mut scratch.ws,
-                );
-                bus_counters.plans_run += 1;
+    let mut requests = Vec::new();
+    for spec in adversarial_specs(plans, base_seed) {
+        requests.clear();
+        for (cv, target) in cores.iter_mut().zip(&targets) {
+            let run = target.validate(policy, [spec], &mut scratch);
+            cv.counters.merge(&run.counters);
+            cv.refutations.extend(run.refutations);
+            if bus.is_contended() {
                 let original = platform.core(cv.core).expect("iterated core exists");
-                extract_transfers_into(cv.core, original, result, &mut requests);
+                extract_transfers_into(cv.core, original, scratch.ws.trace(), &mut requests);
             }
+        }
+        if bus.is_contended() {
+            let started = Instant::now();
             transfers_checked += requests.len() as u64;
-            let inflations: Vec<Inflation> = cores.iter().map(|c| c.inflation).collect();
             bus_refutations.extend(refute_bus_bounds(
                 bus,
                 &requests,
-                &|core, demand| inflations[core.0 as usize].inflate(demand),
+                &|core, demand| cores[core.0 as usize].inflation.inflate(demand),
                 approach,
                 spec,
             ));
+            bus_counters.sim_secs += started.elapsed().as_secs_f64();
         }
-        bus_counters.refutations = bus_refutations.len() as u64;
-        bus_counters.sim_secs = started.elapsed().as_secs_f64();
-        bus_counters.ws_reused = scratch.ws.reuses() - reuses_before;
     }
+    bus_counters.refutations = bus_refutations.len() as u64;
 
     Ok(PlatformValidation {
         cores,

@@ -52,14 +52,14 @@ proptest! {
         let approaches = Registry::standard().labels();
         let ctx = AnalysisContext::new(&AnalysisConfig::default());
         for approach in &approaches {
-            let (_, counters, refutations) =
+            let (_, run) =
                 cross_validate(&set, approach, 3, seed, &ctx).expect("cross-validation runs");
-            prop_assert_eq!(counters.plans_run, 3, "{}", approach);
+            prop_assert_eq!(run.counters.plans_run, 3, "{}", approach);
             prop_assert!(
-                refutations.is_empty(),
+                run.refutations.is_empty(),
                 "{} refuted: {:?}",
                 approach,
-                refutations,
+                run.refutations,
             );
         }
     }

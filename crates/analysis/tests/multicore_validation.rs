@@ -13,7 +13,7 @@ use pmcs_analysis::{
     cross_validate_platform, refute_bus_bounds, AnalysisConfig, AnalysisContext, Analyzer,
     ContentionAware, ProposedAnalyzer, RefutationKind,
 };
-use pmcs_cert::{encode_certificate_set, CertificateSet, UpperProof};
+use pmcs_cert::encode_certificate_set;
 use pmcs_core::{certify_task_set, ExactEngine, Inflation};
 use pmcs_model::{BusModel, CoreId, Phase, Platform, TaskId, TaskSet, Time};
 use pmcs_sim::bus::TransferReq;
@@ -32,19 +32,6 @@ fn light_set(seed: u64) -> TaskSet {
         seed,
     )
     .generate()
-}
-
-/// Encodes a certificate bundle with every DP memo table in a canonical
-/// order. The emitter dumps memo tables in `HashMap` iteration order,
-/// which varies run to run; the checker is order-insensitive, so the
-/// byte-identity claim is up to that permutation.
-fn canonical_certs(mut certs: CertificateSet) -> String {
-    for w in &mut certs.windows {
-        if let UpperProof::DpTable(entries) = &mut w.upper {
-            entries.sort_by_key(|e| format!("{e:?}"));
-        }
-    }
-    encode_certificate_set(&certs)
 }
 
 /// Asserts that analyzing `set` through a [`ContentionAware`] decorator
@@ -83,8 +70,8 @@ fn assert_degenerate(set: &TaskSet, bus: &BusModel) {
     assert_eq!(&inflated, set, "identity inflation changed the set");
     let (_, wrapped_certs) = certify_task_set(&inflated, &engine).expect("wrapped certificates");
     assert_eq!(
-        canonical_certs(plain_certs),
-        canonical_certs(wrapped_certs),
+        encode_certificate_set(&plain_certs),
+        encode_certificate_set(&wrapped_certs),
         "identity decorator changed the certificates"
     );
 }
@@ -114,9 +101,14 @@ fn two_core_platform() -> Platform {
         .expect("two-core platform")
 }
 
+/// A regulated two-core platform validates clean. The bus layer takes
+/// its transfers from the per-core traces: every (core, plan) pair is
+/// simulated once, and the replay checks the same 132 transfers as when
+/// it re-simulated every core itself.
 #[test]
 fn two_core_cross_validation_is_clean() {
     let platform = two_core_platform();
+    assert!(platform.bus().is_contended());
     let ctx = AnalysisContext::new(&AnalysisConfig::default());
     let pv = cross_validate_platform(&platform, "proposed", 2, 0x5eed_0001, &ctx)
         .expect("platform validation");
@@ -124,7 +116,9 @@ fn two_core_cross_validation_is_clean() {
         pv.schedulable(),
         "inflated sets should be schedulable in this regime"
     );
-    assert!(pv.transfers_checked > 0, "the bus layer never ran");
+    assert_eq!(pv.counters().plans_run, 2 * 2, "one run per (core, plan)");
+    assert_eq!(pv.counters().traces_validated, 2 * 2);
+    assert_eq!(pv.transfers_checked, 132);
     assert!(pv.clean(), "refutations: {:?}", pv.refutations());
 }
 

@@ -49,8 +49,8 @@
 use std::process::ExitCode;
 
 use pmcs_analysis::{
-    cross_validate, cross_validate_bounds, milp_engine, plan_horizon, AnalysisConfig,
-    AnalysisContext, RefutationKind, Registry,
+    cross_validate, milp_engine, AnalysisConfig, AnalysisContext, RefutationKind, Registry,
+    SimScratch, Target,
 };
 use pmcs_audit::{check_conformance, lint, lint_sequence, Severity, LINT_CODES};
 use pmcs_bench::cli::{analysis_defaults, Args, CliError};
@@ -59,11 +59,9 @@ use pmcs_core::window::case_for;
 use pmcs_core::Heuristic;
 use pmcs_core::WindowModel;
 use pmcs_milp::{AuditedOutcome, Cmp, LinExpr, Problem, Solver};
-use pmcs_model::{BusModel, Sensitivity, TaskId, TaskSet, Time};
-use pmcs_sim::{simulate, simulate_with, Policy, SimResult, TraceUnit};
-use pmcs_workload::{
-    adversarial_plan, adversarial_specs, random_sporadic_plan, TaskSetConfig, TaskSetGenerator,
-};
+use pmcs_model::{BusModel, Sensitivity, TaskSet, Time};
+use pmcs_sim::{simulate, Policy, SimResult, TraceUnit};
+use pmcs_workload::{adversarial_specs, random_sporadic_plan, TaskSetConfig, TaskSetGenerator};
 
 const USAGE: &str = "\
 pmcs-audit — static analysis over the pmcs analysis pipeline
@@ -507,7 +505,7 @@ fn cmd_simulate(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
     let analyzers = Registry::standard();
     let sims = pmcs_sim::Registry::standard();
     let mut failed = false;
-    let mut proposed: Option<(pmcs_analysis::ApproachReport, Vec<pmcs_workload::PlanSpec>)> = None;
+    let mut proposed: Option<(pmcs_analysis::ApproachReport, Vec<Option<Time>>)> = None;
 
     println!(
         "cross-validating {} registered approaches against {} adversarial plans each:",
@@ -521,25 +519,25 @@ fn cmd_simulate(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
             continue;
         }
         match cross_validate(&set, name, plans, opts.seed, &ctx) {
-            Ok((report, counters, refutations)) => {
+            Ok((report, run)) => {
                 println!(
                     "  {name}: {} plan(s) simulated, {} trace(s) validated, \
                      {} refutation(s) — {}",
-                    counters.plans_run,
-                    counters.traces_validated,
-                    refutations.len(),
-                    if refutations.is_empty() {
+                    run.counters.plans_run,
+                    run.counters.traces_validated,
+                    run.refutations.len(),
+                    if run.refutations.is_empty() {
                         "bounds hold"
                     } else {
                         "REFUTED"
                     }
                 );
-                for r in &refutations {
+                for r in &run.refutations {
                     println!("    {r}");
                     failed = true;
                 }
                 if name == "proposed" {
-                    proposed = Some((report, adversarial_specs(plans, opts.seed)));
+                    proposed = Some((report, run.worst));
                 }
             }
             Err(e) => {
@@ -554,80 +552,42 @@ fn cmd_simulate(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
     // proof the pass above was earned, not vacuous. Like the other
     // deliberately broken demo inputs, the refutations here are expected
     // and failing to produce them is the bug.
-    let Some((report, specs)) = proposed else {
+    let Some((report, worst)) = proposed else {
         eprintln!("proposed approach missing from the registry — this is a bug");
         return ExitCode::FAILURE;
     };
-    // Apply the report's LS marking so the simulator runs the set the
-    // analysis actually bounded (mirrors `cross_validate_report`).
-    let mut marked = set.clone();
-    for t in &report.tasks {
-        if let Some(s) = t.sensitivity {
-            marked = marked
-                .with_sensitivity(t.task, s)
-                .expect("report tasks come from this set");
-        }
-    }
     let policy = sims
         .get("proposed")
         .expect("standard registry has proposed");
-    let release_horizon = plan_horizon(&marked);
-    let max_d = marked
-        .iter()
-        .map(|t| t.deadline())
-        .max()
-        .unwrap_or(Time::ZERO);
-    let tail: i64 = marked.iter().map(|t| t.wcet_serialized().as_ticks()).sum();
-    let horizon = release_horizon + max_d + Time::from_ticks(2 * tail);
-    let mut observed: Vec<(TaskId, Time)> = Vec::new();
-    for &spec in &specs {
-        let result = simulate_with(
-            &marked,
-            &adversarial_plan(&marked, release_horizon, spec),
-            policy,
-            horizon,
-        );
-        for task in marked.iter() {
-            if let Some(worst) = result.worst_response(task.id()) {
-                match observed.iter_mut().find(|(t, _)| *t == task.id()) {
-                    Some((_, cur)) => *cur = (*cur).max(worst),
-                    None => observed.push((task.id(), worst)),
-                }
-            }
-        }
-    }
-    let weakened: Vec<(TaskId, Time)> = observed
-        .iter()
-        .map(|&(t, worst)| (t, worst - Time::TICK))
-        .collect();
-    let (_, refutations) =
-        cross_validate_bounds(&marked, policy, &weakened, &specs, "proposed-weakened");
+    let marked = Target::new(&set, &report).expect("report tasks come from this set");
+    let bounds = worst.iter().map(|w| w.map(|w| w - Time::TICK)).collect();
+    let target = Target::unchecked("proposed-weakened", marked.set().clone()).with_bounds(bounds);
+    let weakened = target.bounds().iter().flatten().count();
+    let specs = adversarial_specs(plans, opts.seed);
+    let refutations = target
+        .validate(policy, specs.iter().copied(), &mut SimScratch::new())
+        .refutations;
     println!(
         "\nweakened-bound demo: proposed bounds lowered to observed worst \
          response minus one tick ({} task(s), {} plan(s)):",
-        weakened.len(),
+        weakened,
         specs.len(),
     );
-    let refuted: Vec<TaskId> = weakened
+    let refuted = target
+        .set()
         .iter()
-        .map(|&(t, _)| t)
-        .filter(|&t| {
-            refutations
-                .iter()
-                .any(|r| matches!(r.kind, RefutationKind::BoundExceeded { task, .. } if task == t))
+        .filter(|t| {
+            refutations.iter().any(
+                |r| matches!(r.kind, RefutationKind::BoundExceeded { task, .. } if task == t.id()),
+            )
         })
-        .collect();
-    if refuted.len() < weakened.len() {
-        println!(
-            "  only {}/{} weakened bounds were refuted — this is a bug",
-            refuted.len(),
-            weakened.len()
-        );
+        .count();
+    if refuted < weakened {
+        println!("  only {refuted}/{weakened} weakened bounds were refuted — this is a bug");
         failed = true;
     } else {
         println!(
-            "  all {} weakened bounds refuted ({} refutation(s)); first:",
-            weakened.len(),
+            "  all {weakened} weakened bounds refuted ({} refutation(s)); first:",
             refutations.len()
         );
     }

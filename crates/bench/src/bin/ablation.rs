@@ -39,8 +39,8 @@
 use std::time::Instant;
 
 use pmcs_analysis::{
-    cross_validate_report, AnalysisContext, ProposedAnalyzer, Registry, SimCounters, WpAnalyzer,
-    WpMilpAnalyzer,
+    cross_validate_reports, AnalysisContext, ProposedAnalyzer, Registry, SimCounters, SimScratch,
+    WpAnalyzer, WpMilpAnalyzer,
 };
 use pmcs_bench::cli::{analysis_defaults, Args, CliError};
 use pmcs_bench::{
@@ -78,8 +78,8 @@ fn main() {
     let (lines, contexts) = parallel_map_with(
         &steps,
         cfg.jobs,
-        || AnalysisContext::new(&cfg),
-        |ctx, _, &step| {
+        || (AnalysisContext::new(&cfg), SimScratch::new()),
+        |(ctx, scratch), _, &step| {
             let t0 = Instant::now();
             let u = step as f64 * 0.05;
             // Per-step generator stream: independent of worker assignment.
@@ -93,7 +93,6 @@ fn main() {
                 },
                 0xAB1A ^ step,
             );
-            let sim_registry = pmcs_sim::Registry::standard();
             let mut sim = SimCounters::default();
             let mut refutations: Vec<String> = Vec::new();
             let (mut closed, mut all_nls, mut greedy) = (0usize, 0usize, 0usize);
@@ -113,22 +112,21 @@ fn main() {
                 // passes; the greedy adds LS promotions on top.
                 greedy += usize::from(reports[2].schedulable());
                 if cfg.cross_validate > 0 {
-                    for (ai, report) in reports.iter().enumerate() {
-                        // Columns without a same-named simulator policy
-                        // (the all-NLS `wp-milp` bound) cannot be
-                        // cross-validated and are skipped.
-                        let Some(policy) = sim_registry.get(&report.approach) else {
-                            continue;
-                        };
-                        let specs = adversarial_specs(
-                            cfg.cross_validate,
-                            derive_seed(0xAB1A ^ step, si as u64, ai as u64),
-                        );
-                        let (counters, refs) = cross_validate_report(&set, policy, report, &specs)
-                            .expect("cross-validation");
-                        sim.merge(&counters);
-                        refutations.extend(refs.iter().map(|r| format!("U={u:.2} set={si} {r}")));
-                    }
+                    // Columns without a same-named simulator policy (the
+                    // all-NLS `wp-milp` bound) cannot be cross-validated
+                    // and are skipped.
+                    let (counters, refs) = cross_validate_reports(
+                        &set,
+                        reports.iter().map(Some),
+                        |ai| {
+                            let seed = derive_seed(0xAB1A ^ step, si as u64, ai as u64);
+                            adversarial_specs(cfg.cross_validate, seed)
+                        },
+                        scratch,
+                    )
+                    .expect("cross-validation");
+                    sim.merge(&counters);
+                    refutations.extend(refs.iter().map(|r| format!("U={u:.2} set={si} {r}")));
                 }
             }
             let r = |v: usize| v as f64 / sets as f64;
@@ -160,7 +158,7 @@ fn main() {
     perf.jobs = cfg.jobs;
     perf.wall_secs = started.elapsed().as_secs_f64();
     let mut cache = CacheStats::default();
-    for ctx in contexts {
+    for (ctx, _) in contexts {
         cache.merge(ctx.cache_stats());
     }
     perf.cache = cache;
@@ -226,14 +224,5 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if !refutations.is_empty() {
-        eprintln!(
-            "cross-validation REFUTED {} analytical bound(s):",
-            refutations.len()
-        );
-        for line in &refutations {
-            eprintln!("{line}");
-        }
-        std::process::exit(1);
-    }
+    pmcs_bench::exit_on_refutations(&refutations);
 }

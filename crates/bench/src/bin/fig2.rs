@@ -226,14 +226,5 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if !refutations.is_empty() {
-        eprintln!(
-            "cross-validation REFUTED {} analytical bound(s):",
-            refutations.len()
-        );
-        for line in &refutations {
-            eprintln!("{line}");
-        }
-        std::process::exit(1);
-    }
+    pmcs_bench::exit_on_refutations(&refutations);
 }

@@ -147,14 +147,5 @@ fn main() {
     let path = perf.write().expect("write perf record");
     println!("perf record: {}", path.display());
 
-    if !out.refutations.is_empty() {
-        eprintln!(
-            "cross-validation REFUTED {} analytical bound(s):",
-            out.refutations.len()
-        );
-        for line in &out.refutations {
-            eprintln!("{line}");
-        }
-        std::process::exit(1);
-    }
+    pmcs_bench::exit_on_refutations(&out.refutations);
 }

@@ -46,9 +46,7 @@
 
 use std::time::Instant;
 
-use pmcs_analysis::{
-    cross_validate_report, AnalysisContext, Analyzer, ProposedAnalyzer, SimCounters,
-};
+use pmcs_analysis::{AnalysisContext, Analyzer, ProposedAnalyzer, SimCounters, SimScratch, Target};
 use pmcs_bench::cli::{analysis_defaults, Args, CliError};
 use pmcs_bench::{certify_set, parallel_map, CertSummary, PerfPoint, PerfRecord};
 use pmcs_core::{CacheStats, SolverStats};
@@ -128,7 +126,7 @@ fn main() {
         let mut failures = 0usize;
         let mut stats = CacheStats::default();
         let mut solver = SolverStats::default();
-        let sim_registry = pmcs_sim::Registry::standard();
+        let mut scratch = SimScratch::new();
         let mut sim = SimCounters::default();
         let mut refutations: Vec<String> = Vec::new();
         for si in 0..sets {
@@ -150,18 +148,15 @@ fn main() {
                     // Cross-validation runs outside the timed region so
                     // the runtime numbers stay comparable.
                     if cfg.cross_validate > 0 {
-                        let policy = sim_registry
-                            .get(&r.approach)
-                            .expect("proposed policy is registered");
-                        let specs = adversarial_specs(
-                            cfg.cross_validate,
-                            derive_seed(99, ci as u64, si as u64),
+                        let seed = derive_seed(99, ci as u64, si as u64);
+                        let run = Target::new(&set, &r).expect("cross-validation").validate(
+                            &pmcs_sim::policy::Proposed,
+                            adversarial_specs(cfg.cross_validate, seed),
+                            &mut scratch,
                         );
-                        let (counters, refs) = cross_validate_report(&set, policy, &r, &specs)
-                            .expect("cross-validation");
-                        sim.merge(&counters);
-                        refutations
-                            .extend(refs.iter().map(|r| format!("n={n} U={u:.2} set={si} {r}")));
+                        sim.merge(&run.counters);
+                        let refs = run.refutations.iter();
+                        refutations.extend(refs.map(|r| format!("n={n} U={u:.2} set={si} {r}")));
                     }
                 }
                 Err(_) => failures += 1,
@@ -290,14 +285,5 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if !refutations.is_empty() {
-        eprintln!(
-            "cross-validation REFUTED {} analytical bound(s):",
-            refutations.len()
-        );
-        for line in &refutations {
-            eprintln!("{line}");
-        }
-        std::process::exit(1);
-    }
+    pmcs_bench::exit_on_refutations(&refutations);
 }

@@ -3,12 +3,12 @@
 //!
 //! A campaign takes one generated workload, computes the analytical WCRT
 //! bounds of every registered approach once, then streams `plans`
-//! adversarial release plans per approach through the workspace-reuse
-//! kernel ([`pmcs_sim::kernel` `run_streaming`]) — no trace is ever
+//! adversarial release plans per approach through the streaming mode of
+//! the falsification driver ([`Target::stream`]) — no trace is ever
 //! materialized; each job's response folds into a fixed log-scale
-//! response-time histogram and is checked live against the analytical
-//! bound. Any exceedance is a machine-readable refutation and the
-//! campaign exits nonzero.
+//! response-time histogram, and every task's worst response is checked
+//! against its analytical bound. Any exceedance is a machine-readable
+//! refutation and the campaign exits nonzero.
 //!
 //! Three sections:
 //!
@@ -40,15 +40,14 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use pmcs_analysis::{
-    plan_horizon, AnalysisConfig, AnalysisContext, AnalysisError, Registry, SimScratch,
+    AnalysisConfig, AnalysisContext, AnalysisError, Refutation, Registry, SimScratch, Target,
 };
 use pmcs_core::{partition_regulated, Heuristic, Inflation};
 use pmcs_model::{BusModel, Sensitivity, TaskSet, Time};
-use pmcs_sim::kernel::run_streaming;
 use pmcs_workload::ema::DEFAULT_ALPHA;
 use pmcs_workload::{
-    adversarial_plan, adversarial_plan_into, adversarial_spec, derive_seed, measured_set,
-    MeasuredTask, TaskSetConfig, TaskSetGenerator,
+    adversarial_plan, adversarial_spec, derive_seed, measured_set, MeasuredTask, TaskSetConfig,
+    TaskSetGenerator,
 };
 
 use crate::parallel::parallel_map_with;
@@ -135,7 +134,7 @@ pub struct PolicyHist {
     pub worst_by_task: Vec<Option<Time>>,
     /// Largest analytical WCRT bound (`None` when the approach reported
     /// the set unschedulable — bounds are then not operational and are
-    /// not checked, matching `cross_validate_report`).
+    /// not checked, see [`Target::new`]).
     pub bound: Option<Time>,
     /// Deadline misses observed (counted, never hidden; a miss alone is
     /// not a refutation unless a checked bound is exceeded).
@@ -161,9 +160,9 @@ impl PolicyHist {
     fn merge(&mut self, other: &PolicyHist) {
         self.plans += other.plans;
         self.responses += other.responses;
-        self.worst = max_opt(self.worst, other.worst);
+        self.worst = self.worst.max(other.worst);
         for (a, &b) in self.worst_by_task.iter_mut().zip(&other.worst_by_task) {
-            *a = max_opt(*a, b);
+            *a = (*a).max(b);
         }
         self.misses += other.misses;
         for (a, &b) in self.bins.iter_mut().zip(&other.bins) {
@@ -191,14 +190,6 @@ impl PolicyHist {
             out.push_str("(empty)");
         }
         out
-    }
-}
-
-fn max_opt(a: Option<Time>, b: Option<Time>) -> Option<Time> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.max(y)),
-        (x, None) => x,
-        (None, y) => y,
     }
 }
 
@@ -352,194 +343,80 @@ fn rate(count: u64, secs: f64) -> f64 {
     }
 }
 
-/// One approach prepared for streaming: the LS-marked set the analysis
-/// actually bounded, per-task bounds (by task index; `None` when not
-/// checked), and the horizons.
-struct Prep {
-    name: String,
-    marked: TaskSet,
-    bounds: Vec<Option<Time>>,
-    release_horizon: Time,
-    horizon: Time,
-}
-
 /// Analyzes `set` under every registered approach and builds the
-/// streaming preps. Bounds are kept only for schedulable reports
-/// (matching `cross_validate_report`'s convention).
-fn prep_approaches(
+/// targets to stream.
+fn analyze_targets(
     set: &TaskSet,
     registry: &Registry,
     ctx: &AnalysisContext,
-) -> Result<Vec<Prep>, AnalysisError> {
-    let mut preps = Vec::with_capacity(registry.len());
-    for analyzer in registry.iter() {
-        let report = analyzer.analyze_with(set, ctx)?;
-        let mut marked = set.clone();
-        for t in &report.tasks {
-            if let Some(s) = t.sensitivity {
-                marked = marked
-                    .with_sensitivity(t.task, s)
-                    .map_err(|e| AnalysisError::Core(pmcs_core::CoreError::Model(e)))?;
-            }
-        }
-        let bounds: Vec<Option<Time>> = marked
-            .tasks()
-            .iter()
-            .map(|task| {
-                if report.schedulable() {
-                    report
-                        .tasks
-                        .iter()
-                        .find(|t| t.task == task.id())
-                        .map(|t| t.wcrt)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let release_horizon = plan_horizon(&marked);
-        let max_d = marked
-            .iter()
-            .map(|t| t.deadline())
-            .max()
-            .unwrap_or(Time::ZERO);
-        let tail: i64 = marked.iter().map(|t| t.wcet_serialized().as_ticks()).sum();
-        preps.push(Prep {
-            name: analyzer.name().to_string(),
-            marked,
-            bounds,
-            release_horizon,
-            horizon: release_horizon + max_d + Time::from_ticks(2 * tail),
-        });
-    }
-    Ok(preps)
+) -> Result<Vec<Target>, AnalysisError> {
+    registry
+        .iter()
+        .map(|analyzer| Target::new(set, &analyzer.analyze_with(set, ctx)?))
+        .collect()
 }
 
-/// Per-shard accumulator (one per approach).
-struct ShardStats {
-    plans: u64,
-    responses: u64,
-    worst: Option<Time>,
-    worst_by_task: Vec<Option<Time>>,
-    misses: u64,
-    bins: Vec<u64>,
-    refutations: Vec<String>,
-}
-
-/// Streams `plans` plans per prep across the worker pool in fixed-size
-/// shards, folding histograms and checking bounds live. Returns the
-/// merged per-prep statistics, the refutation lines (shard order), and
-/// the simulation / workspace-reuse counters.
+/// Streams `plans` plans per target across the worker pool in fixed-size
+/// shards, folding histograms and checking bounds. Returns the merged
+/// per-target statistics, the refutations (shard order), and the
+/// workspace reuses.
 fn run_sharded(
-    preps: &[Prep],
+    targets: &[Target],
     plans: usize,
     base_seed: u64,
     shard: usize,
     jobs: usize,
-) -> (Vec<PolicyHist>, Vec<String>, u64, u64) {
+) -> (Vec<PolicyHist>, Vec<Refutation>, u64) {
     let shard = shard.max(1);
     let shards: Vec<(usize, usize)> = (0..plans)
         .step_by(shard)
         .map(|s| (s, (s + shard).min(plans)))
         .collect();
-    let (shard_outs, scratches) = parallel_map_with(
+    let (shard_outs, _) = parallel_map_with(
         &shards,
         jobs,
         SimScratch::new,
         |scratch, _, &(start, end)| {
             let sims = pmcs_sim::Registry::standard();
-            let mut out: Vec<ShardStats> = preps
+            targets
                 .iter()
-                .map(|p| ShardStats {
-                    plans: 0,
-                    responses: 0,
-                    worst: None,
-                    worst_by_task: vec![None; p.marked.len()],
-                    misses: 0,
-                    bins: vec![0; BINS],
-                    refutations: Vec::new(),
+                .map(|target| {
+                    let policy = sims
+                        .get(target.approach())
+                        .expect("analyzer and simulator registries are aligned");
+                    let mut h = PolicyHist::new(target.approach(), target.set().len(), None);
+                    let specs = (start..end).map(|i| adversarial_spec(i, base_seed));
+                    let run = target.stream(policy, specs, scratch, |_, r| {
+                        h.bins[bin_of(r)] += 1;
+                        h.responses += 1;
+                    });
+                    h.plans = run.counters.plans_run;
+                    h.misses = run.misses;
+                    h.worst = run.worst.iter().copied().max().flatten();
+                    h.worst_by_task = run.worst;
+                    (h, run.refutations, run.counters.ws_reused)
                 })
-                .collect();
-            for (pi, prep) in preps.iter().enumerate() {
-                let policy = sims
-                    .get(&prep.name)
-                    .expect("analyzer and simulator registries are aligned");
-                for i in start..end {
-                    let spec = adversarial_spec(i, base_seed);
-                    adversarial_plan_into(
-                        &prep.marked,
-                        prep.release_horizon,
-                        spec,
-                        &mut scratch.plan,
-                    );
-                    let s = &mut out[pi];
-                    let stats = run_streaming(
-                        &prep.marked,
-                        &scratch.plan,
-                        policy,
-                        prep.horizon,
-                        &mut scratch.ws,
-                        |_, r| {
-                            s.bins[bin_of(r)] += 1;
-                            s.responses += 1;
-                            s.worst = max_opt(s.worst, Some(r));
-                        },
-                    );
-                    let s = &mut out[pi];
-                    s.plans += 1;
-                    s.misses += stats.total_misses();
-                    for ti in 0..prep.marked.len() {
-                        s.worst_by_task[ti] =
-                            max_opt(s.worst_by_task[ti], stats.worst_response(ti));
-                    }
-                    for (ti, bound) in prep.bounds.iter().enumerate() {
-                        if let (Some(b), Some(w)) = (*bound, stats.worst_response(ti)) {
-                            if w > b {
-                                s.refutations.push(format!(
-                                    "REFUTATION approach={} plan={} kind=bound-exceeded \
-                                     task={} observed={} bound={}",
-                                    prep.name,
-                                    spec,
-                                    prep.marked.tasks()[ti].id(),
-                                    w,
-                                    b,
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-            out
+                .collect::<Vec<_>>()
         },
     );
 
-    let mut hists: Vec<PolicyHist> = preps
+    let mut hists: Vec<PolicyHist> = targets
         .iter()
-        .map(|p| {
-            let bound = p.bounds.iter().filter_map(|&b| b).max();
-            PolicyHist::new(&p.name, p.marked.len(), bound)
+        .map(|t| {
+            let bound = t.bounds().iter().flatten().max().copied();
+            PolicyHist::new(t.approach(), t.set().len(), bound)
         })
         .collect();
     let mut refutations = Vec::new();
-    let mut sims_run = 0u64;
-    for shard_out in &shard_outs {
-        for (h, s) in hists.iter_mut().zip(shard_out) {
-            h.plans += s.plans;
-            h.responses += s.responses;
-            h.worst = max_opt(h.worst, s.worst);
-            for (a, &b) in h.worst_by_task.iter_mut().zip(&s.worst_by_task) {
-                *a = max_opt(*a, b);
-            }
-            h.misses += s.misses;
-            for (a, &b) in h.bins.iter_mut().zip(&s.bins) {
-                *a += b;
-            }
-            sims_run += s.plans;
-            refutations.extend(s.refutations.iter().cloned());
+    let mut ws_reused = 0u64;
+    for shard_out in shard_outs {
+        for (h, (s, refs, reused)) in hists.iter_mut().zip(shard_out) {
+            h.merge(&s);
+            refutations.extend(refs);
+            ws_reused += reused;
         }
     }
-    let ws_reused: u64 = scratches.iter().map(|s| s.ws.reuses()).sum();
-    (hists, refutations, sims_run, ws_reused)
+    (hists, refutations, ws_reused)
 }
 
 /// Runs the full campaign described in the module docs.
@@ -552,7 +429,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, AnalysisErr
     let started = Instant::now();
     let registry = Registry::standard();
     let ctx = AnalysisContext::new(&cfg.analysis);
-    let jobs = cfg.analysis.jobs;
 
     // The single-core workload: `tasks` tasks at `util`, lowest priority
     // marked latency-sensitive so the LS rules (R3, R4) are exercised.
@@ -571,19 +447,21 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, AnalysisErr
         set.with_sensitivity(lowest, Sensitivity::Ls)
             .map_err(|e| AnalysisError::Core(pmcs_core::CoreError::Model(e)))?
     };
-    let preps = prep_approaches(&set, &registry, &ctx)?;
+    let targets = analyze_targets(&set, &registry, &ctx)?;
 
-    let mut refutations = Vec::new();
-    let mut sims_run = 0u64;
-    let mut ws_reused = 0u64;
+    let (mut refutations, mut sims_run, mut ws_reused) = (Vec::new(), 0u64, 0u64);
+    let mut stream = |targets: &[Target], plans: usize, seed: u64, section: &str| {
+        let (hists, refs, reused) = run_sharded(targets, plans, seed, cfg.shard, cfg.analysis.jobs);
+        refutations.extend(refs.iter().map(|r| format!("{section} {r}")));
+        sims_run += hists.iter().map(|h| h.plans).sum::<u64>();
+        ws_reused += reused;
+        hists
+    };
     let campaign_started = Instant::now();
 
     // Section 1: single-core, the full plan budget.
     let single_seed = derive_seed(cfg.seed, SINGLE_STREAM, 0);
-    let (single, refs, sims, reused) = run_sharded(&preps, cfg.plans, single_seed, cfg.shard, jobs);
-    refutations.extend(refs.into_iter().map(|r| format!("section=single {r}")));
-    sims_run += sims;
-    ws_reused += reused;
+    let single = stream(&targets, cfg.plans, single_seed, "section=single");
 
     // Section 2: the regulated-bus platform. A separate workload sized
     // like the multicore sweeps (memory intensity scaled to the fair
@@ -614,16 +492,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, AnalysisErr
                 let inflated = Inflation::for_core(&bus, core)
                     .inflate_set(core_set)
                     .map_err(AnalysisError::Core)?;
-                let core_preps = prep_approaches(&inflated, &registry, &ctx)?;
+                let core_targets = analyze_targets(&inflated, &registry, &ctx)?;
                 let core_seed = derive_seed(cfg.seed, BUS_STREAM, 1 + u64::from(core.0));
-                let (hists, refs, sims, reused) =
-                    run_sharded(&core_preps, bus_plans, core_seed, cfg.shard, jobs);
-                refutations.extend(
-                    refs.into_iter()
-                        .map(|r| format!("section=bus core={core} {r}")),
-                );
-                sims_run += sims;
-                ws_reused += reused;
+                let section = format!("section=bus core={core}");
+                let hists = stream(&core_targets, bus_plans, core_seed, &section);
                 if bus_hists.is_empty() {
                     bus_hists = hists;
                 } else {
@@ -649,40 +521,28 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, AnalysisErr
     let ema_plans = (cfg.plans / 20).max(1);
     let history_seed = derive_seed(cfg.seed, MEASURED_STREAM, 0);
     let mut classes = Vec::new();
-    let mut measured_preps = Vec::with_capacity(preps.len());
-    for prep in &preps {
-        let (mset, info) = measured_set(&prep.marked, cfg.history, DEFAULT_ALPHA, history_seed);
+    let mut measured_targets = Vec::with_capacity(targets.len());
+    for target in &targets {
+        let (mset, info) = measured_set(target.set(), cfg.history, DEFAULT_ALPHA, history_seed);
         if classes.is_empty() {
             classes = info;
         }
-        let release_horizon = plan_horizon(&mset);
-        let max_d = mset
-            .iter()
-            .map(|t| t.deadline())
-            .max()
-            .unwrap_or(Time::ZERO);
-        let tail: i64 = mset.iter().map(|t| t.wcet_serialized().as_ticks()).sum();
-        measured_preps.push(Prep {
-            name: prep.name.clone(),
-            marked: mset,
-            bounds: vec![None; prep.marked.len()],
-            release_horizon,
-            horizon: release_horizon + max_d + Time::from_ticks(2 * tail),
-        });
+        measured_targets.push(Target::unchecked(target.approach(), mset));
     }
     let measured_seed = derive_seed(cfg.seed, MEASURED_STREAM, 1);
-    let (measured_hists, refs, sims, reused) =
-        run_sharded(&measured_preps, ema_plans, measured_seed, cfg.shard, jobs);
-    refutations.extend(refs.into_iter().map(|r| format!("section=measured {r}")));
-    sims_run += sims;
-    ws_reused += reused;
-    let measured: Vec<MeasuredRow> = preps
+    let measured_hists = stream(
+        &measured_targets,
+        ema_plans,
+        measured_seed,
+        "section=measured",
+    );
+    let measured: Vec<MeasuredRow> = targets
         .iter()
         .zip(&measured_hists)
-        .map(|(prep, h)| {
-            let declared_bound = prep.bounds.iter().filter_map(|&b| b).max();
-            let sensitivity = prep
-                .bounds
+        .map(|(target, h)| {
+            let declared_bound = target.bounds().iter().flatten().max().copied();
+            let sensitivity = target
+                .bounds()
                 .iter()
                 .zip(&h.worst_by_task)
                 .filter_map(|(&b, &w)| match (b, w) {
@@ -691,11 +551,9 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, AnalysisErr
                     }
                     _ => None,
                 })
-                .fold(None, |acc: Option<f64>, r| {
-                    Some(acc.map_or(r, |a| a.max(r)))
-                });
+                .reduce(f64::max);
             MeasuredRow {
-                label: prep.name.clone(),
+                label: target.approach().to_string(),
                 worst: h.worst,
                 declared_bound,
                 sensitivity,
@@ -710,15 +568,15 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, AnalysisErr
     let baseline_sims = cfg.plans.min(cfg.baseline_cap) as u64;
     let baseline_started = Instant::now();
     {
-        let prep = &preps[0];
+        let target = &targets[0];
         let sims_reg = pmcs_sim::Registry::standard();
-        let policy = sims_reg.get(&prep.name).expect("registries aligned");
+        let policy = sims_reg.get(target.approach()).expect("registries aligned");
         let mut sink = Time::ZERO;
         for i in 0..baseline_sims {
             let spec = adversarial_spec(i as usize, single_seed);
-            let plan = adversarial_plan(&prep.marked, prep.release_horizon, spec);
-            let result = pmcs_sim::simulate_with(&prep.marked, &plan, policy, prep.horizon);
-            for task in prep.marked.iter() {
+            let plan = adversarial_plan(target.set(), target.release_horizon(), spec);
+            let result = pmcs_sim::simulate_with(target.set(), &plan, policy, target.horizon());
+            for task in target.set().iter() {
                 if let Some(w) = result.worst_response(task.id()) {
                     sink = sink.max(w);
                 }
@@ -754,7 +612,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, AnalysisErr
         baseline_sims,
         baseline_secs,
         wall_secs: started.elapsed().as_secs_f64(),
-        jobs,
+        jobs: cfg.analysis.jobs,
         config_line,
     })
 }
@@ -824,18 +682,14 @@ mod tests {
             0, 10, 2, 2, 1_000, 0, false,
         )])
         .unwrap();
-        let preps = vec![Prep {
-            name: "proposed".to_string(),
-            marked: set.clone(),
-            bounds: vec![Some(Time::TICK)],
-            release_horizon: plan_horizon(&set),
-            horizon: plan_horizon(&set) + Time::from_ticks(100),
-        }];
-        let (hists, refutations, sims, _) = run_sharded(&preps, 6, 7, 2, 2);
-        assert_eq!(sims, 6);
+        let target = Target::unchecked("proposed", set).with_bounds(vec![Some(Time::TICK)]);
+        let (hists, refutations, _) = run_sharded(&[target], 6, 7, 2, 2);
         assert_eq!(hists[0].plans, 6);
         assert_eq!(refutations.len(), 6, "{refutations:?}");
-        assert!(refutations[0].contains("kind=bound-exceeded task=τ0"));
-        assert!(refutations[0].contains("seed="));
+        let line = refutations[0].to_string();
+        assert!(line.starts_with("REFUTATION approach=proposed"), "{line}");
+        assert!(line.contains("kind=bound-exceeded task=τ0"), "{line}");
+        assert!(line.contains("seed="), "{line}");
+        assert!(!line.contains("excerpt"), "{line}");
     }
 }

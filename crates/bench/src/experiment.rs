@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pmcs_analysis::{
-    cross_validate_report_in, AnalysisConfig, AnalysisContext, AnalysisError, ApproachReport,
+    cross_validate_reports, AnalysisConfig, AnalysisContext, AnalysisError, ApproachReport,
     Registry, SimCounters, SimScratch,
 };
 use pmcs_core::{CacheStats, SharedDelayCache, SolverStats};
@@ -184,47 +184,6 @@ pub fn evaluate_set_with_reports(
         .collect()
 }
 
-/// Cross-validates every approach's report on one task set against
-/// `plans` adversarial release plans, returning merged counters plus
-/// formatted refutation lines (in registry/plan order).
-///
-/// Approaches without a registered simulator policy of the same name are
-/// skipped; failed analyses (no report) are skipped. Plan seeds derive
-/// from `(item_seed, CV_SEED_STREAM, approach index)`, so results are
-/// independent of scheduling order.
-fn cross_validate_item(
-    set: &pmcs_model::TaskSet,
-    registry: &Registry,
-    reports: &[(SetOutcome, SolverStats, Option<ApproachReport>)],
-    plans: usize,
-    item_seed: u64,
-    scratch: &mut SimScratch,
-) -> (SimCounters, Vec<String>) {
-    let sim_registry = pmcs_sim::Registry::standard();
-    let mut sim = SimCounters::default();
-    let mut lines = Vec::new();
-    for (ai, analyzer) in registry.iter().enumerate() {
-        let Some(report) = reports[ai].2.as_ref() else {
-            continue;
-        };
-        let Some(policy) = sim_registry.get(analyzer.name()) else {
-            continue;
-        };
-        let specs = adversarial_specs(plans, derive_seed(item_seed, CV_SEED_STREAM, ai as u64));
-        match cross_validate_report_in(set, policy, report, &specs, scratch) {
-            Ok((counters, refutations)) => {
-                sim.merge(&counters);
-                lines.extend(refutations.iter().map(|r| r.to_string()));
-            }
-            Err(e) => lines.push(format!(
-                "ERROR approach={} cross-validation failed: {e}",
-                analyzer.name()
-            )),
-        }
-    }
-    (sim, lines)
-}
-
 /// Runs a sweep: for each point, generates `sets_per_point` task sets
 /// (each seeded deterministically from `(base_seed, point, set)`) and
 /// measures the schedulability ratio of every registered approach.
@@ -267,8 +226,24 @@ pub fn sweep_with(
             let seed = derive_seed(base_seed, pi as u64, si as u64);
             let set = TaskSetGenerator::new(points[pi].config.clone(), seed).generate();
             let outcomes = evaluate_set_with_reports(&set, registry, ctx);
+            // Plan seeds derive from `(item seed, approach index)`, so
+            // results are independent of scheduling order.
             let (sim, refutations) = if cfg.cross_validate > 0 {
-                cross_validate_item(&set, registry, &outcomes, cfg.cross_validate, seed, scratch)
+                match cross_validate_reports(
+                    &set,
+                    outcomes.iter().map(|(_, _, report)| report.as_ref()),
+                    |ai| {
+                        let seed = derive_seed(seed, CV_SEED_STREAM, ai as u64);
+                        adversarial_specs(cfg.cross_validate, seed)
+                    },
+                    scratch,
+                ) {
+                    Ok((sim, found)) => (sim, found.iter().map(|r| r.to_string()).collect()),
+                    Err(e) => (
+                        SimCounters::default(),
+                        vec![format!("ERROR cross-validation failed: {e}")],
+                    ),
+                }
             } else {
                 (SimCounters::default(), Vec::new())
             };

@@ -53,4 +53,4 @@ pub use figures::{fig1_task_set, fig2_inset, Fig2Inset};
 pub use multicore::{sweep_multicore, MulticoreConfig, MulticoreOutcome, MulticoreRow};
 pub use parallel::{parallel_map, parallel_map_with};
 pub use perf::{PerfPoint, PerfRecord};
-pub use report::{ascii_chart, csv_string, write_csv};
+pub use report::{ascii_chart, csv_string, exit_on_refutations, write_csv};

@@ -12,6 +12,22 @@ use std::path::Path;
 
 use crate::experiment::SweepRow;
 
+/// Prints cross-validation refutation lines to stderr and exits with
+/// status 1 when there are any; returns when there are none.
+pub fn exit_on_refutations(lines: &[String]) {
+    if lines.is_empty() {
+        return;
+    }
+    eprintln!(
+        "cross-validation REFUTED {} analytical bound(s):",
+        lines.len()
+    );
+    for line in lines {
+        eprintln!("{line}");
+    }
+    std::process::exit(1);
+}
+
 /// Renders sweep rows as CSV text (header + one row per point). The
 /// rendering is a pure function of its inputs, which is what the
 /// determinism tests compare byte-for-byte across thread counts.

@@ -447,6 +447,21 @@ mod tests {
     }
 
     #[test]
+    fn emitted_bundle_is_byte_stable() {
+        // Every emission records its DP memo afresh; the bundle must not
+        // depend on the memo's (randomly seeded) iteration order.
+        let set = promoting_set();
+        let emit = || {
+            let (_, bundle) =
+                certify_task_set(&set, &ExactEngine::default()).expect("certification succeeds");
+            pmcs_cert::encode_certificate_set(&bundle)
+        };
+        let first = emit();
+        assert!(first.contains("\"entries\""), "no DP table was emitted");
+        assert_eq!(first, emit());
+    }
+
+    #[test]
     fn unschedulable_set_certifies_too() {
         let set = TaskSet::new(vec![
             test_task(0, 90, 5, 5, 100, 0, false),

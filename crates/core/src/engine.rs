@@ -255,6 +255,7 @@ impl ExactEngine {
     /// The recording search uses an explicit `(k, prev, prev2, budgets)`
     /// map as its memo (no 128-bit packing limit), bounded by the same
     /// `max_states` entry budget and node backstop as the production DP.
+    /// The recorded states come out sorted by that key.
     pub(crate) fn solve_recorded(&self, w: &WindowModel) -> Option<RecordedSolve> {
         let mut scratch = self.scratch.borrow_mut();
         let mut search = Search::new(w, self.max_states, &mut scratch);
@@ -278,7 +279,11 @@ impl ExactEngine {
             return None;
         }
         let witness = search.traceback(&rec, value)?;
-        let states = rec
+        // The memo iterates in hash order; sort by key so bundles are
+        // byte-stable run to run.
+        let mut entries: Vec<_> = rec.into_iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let states = entries
             .into_iter()
             .map(|((k, prev, prev2, budgets), value)| RecordedState {
                 k,
